@@ -39,6 +39,7 @@ from .rules import (
     load_model_config,
     model_config,
     normalize,
+    normalize_many,
     proxy_weight,
     pruning_weight,
     qualifies,
@@ -87,6 +88,7 @@ __all__ = [
     "load_vocabulary",
     "model_config",
     "normalize",
+    "normalize_many",
     "proxy_weight",
     "pruning_weight",
     "qualifies",

@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import EmptyGoldSetError, FormatError, GoldTermMissingError
-from .rules import MODEL_IDS, Candidate, ModelConfig, model_config, normalize
+from .rules import MODEL_IDS, Candidate, ModelConfig, model_config, normalize_many
 from .vocabulary import Vocabulary
 
 __all__ = [
@@ -40,13 +40,13 @@ _MEASURES = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GoldPair:
     noisy: str
     gold: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModelScores:
     avg_mrr: float
     avg_p1: float
@@ -55,7 +55,7 @@ class ModelScores:
     sample_count: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalReport:
     """Per-model averages, keyed by model id in presentation order."""
 
@@ -63,34 +63,57 @@ class EvalReport:
     sample_count: int
 
 
-def reciprocal_rank(ranked: Sequence[Candidate], gold: str) -> float:
-    """1/position of ``gold`` in the ranking, 0.0 when absent."""
-    for position, candidate in enumerate(ranked, 1):
-        if candidate.term == gold:
-            return 1.0 / position
-    return 0.0
-
-
-def success_at_k(ranked: Sequence[Candidate], gold: str, k: int) -> int:
-    """1 when ``gold`` appears among the first k entries, else 0."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return int(any(candidate.term == gold for candidate in ranked[:k]))
-
-
 def _gold_rank(ranked: Sequence[Candidate], gold: str) -> int:
+    """1-based position of ``gold`` in the ranking, 0 when absent."""
     for position, candidate in enumerate(ranked, 1):
         if candidate.term == gold:
             return position
     return 0
 
 
-def _check_gold_set(gold_set: Sequence[GoldPair], vocab: Vocabulary) -> None:
-    if not gold_set:
-        raise EmptyGoldSetError("gold set has no pairs")
-    missing = sorted({pair.gold for pair in gold_set if pair.gold not in vocab})
+def reciprocal_rank(ranked: Sequence[Candidate], gold: str) -> float:
+    """1/position of ``gold`` in the ranking, 0.0 when absent."""
+    rank = _gold_rank(ranked, gold)
+    return 1.0 / rank if rank else 0.0
+
+
+def success_at_k(ranked: Sequence[Candidate], gold: str, k: int) -> int:
+    """1 when ``gold`` appears among the first k entries, else 0."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return int(0 < _gold_rank(ranked, gold) <= k)
+
+
+def _check_gold_terms(pairs: Sequence[GoldPair], vocab: Vocabulary) -> None:
+    missing = sorted({pair.gold for pair in pairs if pair.gold not in vocab})
     if missing:
         raise GoldTermMissingError(missing)
+
+
+def _score_configs(
+    gold_set: Sequence[GoldPair], vocab: Vocabulary, configs: Sequence[ModelConfig]
+) -> list[ModelScores]:
+    # one shared scan per noisy term; per config [rr total, hits@1, @5, @10]
+    pairs = list(gold_set)
+    if not pairs:
+        raise EmptyGoldSetError("gold set has no pairs")
+    _check_gold_terms(pairs, vocab)
+    tallies = [[Fraction(0), 0, 0, 0] for _ in configs]
+    for pair in pairs:
+        gold = vocab.fold(pair.gold)
+        rankings = normalize_many(pair.noisy, vocab, configs, EVAL_TOP_K)
+        for tally, ranked in zip(tallies, rankings):
+            rank = _gold_rank(ranked, gold)
+            if rank:
+                tally[0] += Fraction(1, rank)
+                tally[1] += rank == 1
+                tally[2] += rank <= 5
+                tally[3] += 1
+    n = len(pairs)
+    return [
+        ModelScores(float(rr / n), hits1 / n, hits5 / n, hits10 / n, n)
+        for rr, hits1, hits5, hits10 in tallies
+    ]
 
 
 def evaluate_model(
@@ -101,37 +124,16 @@ def evaluate_model(
     Every noisy term is normalized with a rank cut-off of EVAL_TOP_K.
     Raises EmptyGoldSetError or GoldTermMissingError before any scoring.
     """
-    pairs = list(gold_set)
-    _check_gold_set(pairs, vocab)
-    rr_total = Fraction(0)
-    hits1 = hits5 = hits10 = 0
-    for pair in pairs:
-        ranked = normalize(pair.noisy, vocab, config, EVAL_TOP_K)
-        rank = _gold_rank(ranked, vocab.fold(pair.gold))
-        if rank:
-            rr_total += Fraction(1, rank)
-            hits1 += rank == 1
-            hits5 += rank <= 5
-            hits10 += 1
-    n = len(pairs)
-    return ModelScores(
-        avg_mrr=float(rr_total / n),
-        avg_p1=hits1 / n,
-        avg_p5=hits5 / n,
-        avg_p10=hits10 / n,
-        sample_count=n,
-    )
+    return _score_configs(gold_set, vocab, [config])[0]
 
 
 def compare_models(gold_set: Sequence[GoldPair], vocab: Vocabulary) -> EvalReport:
-    """Evaluate the four default models and assemble the comparison report."""
-    pairs = list(gold_set)
-    _check_gold_set(pairs, vocab)
-    scores = {
-        model_id: evaluate_model(pairs, vocab, model_config(model_id))
-        for model_id in MODEL_IDS
-    }
-    return EvalReport(scores=scores, sample_count=len(pairs))
+    """Evaluate the four default models and assemble the comparison report.
+
+    Each noisy term's vocabulary buckets are scanned once for all four.
+    """
+    scores = _score_configs(gold_set, vocab, [model_config(m) for m in MODEL_IDS])
+    return EvalReport(scores=dict(zip(MODEL_IDS, scores)), sample_count=scores[0].sample_count)
 
 
 def render_report(report: EvalReport) -> str:
@@ -164,8 +166,6 @@ def load_gold_set(
         if len(noisy) < 2 or len(gold) < 2:
             raise FormatError(f"gold line {lineno}: terms need at least 2 characters")
         pairs.append(GoldPair(noisy, gold))
-    if vocab is not None and pairs:
-        missing = sorted({pair.gold for pair in pairs if pair.gold not in vocab})
-        if missing:
-            raise GoldTermMissingError(missing)
+    if vocab is not None:
+        _check_gold_terms(pairs, vocab)
     return pairs

@@ -9,6 +9,7 @@ admission threshold are never at the mercy of rounding.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from fractions import Fraction
@@ -33,6 +34,7 @@ __all__ = [
     "load_model_config",
     "model_config",
     "normalize",
+    "normalize_many",
     "proxy_weight",
     "pruning_weight",
     "qualifies",
@@ -239,7 +241,7 @@ def proxy_weight(
     return float(_proxy_exact(Fraction(prun_wt), ed, length, formula))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Candidate:
     """A vocabulary term scored against one noisy query term."""
 
@@ -302,14 +304,21 @@ def _bucket_distances(
 def normalize(
     term: str, vocab: Vocabulary, config: ModelConfig, top_k: int = 10
 ) -> list[Candidate]:
-    """Rank vocabulary candidates for one query term.
+    """Rank vocabulary candidates for one query term (see normalize_many)."""
+    return normalize_many(term, vocab, [config], top_k)[0]
+
+
+def normalize_many(
+    term: str, vocab: Vocabulary, configs: Sequence[ModelConfig], top_k: int = 10
+) -> list[list[Candidate]]:
+    """Rank vocabulary candidates for one query term, once per config.
 
     A term already in the vocabulary short-circuits to a single candidate
-    at distance 0 carrying the maximum score the configuration can
-    produce. Otherwise only length buckets the admission threshold can
-    possibly accept are scanned, with the per-bucket distance bound fed to
-    a banded computation. Ordering is proxy weight descending, then edit
-    distance, then frequency descending, then the term itself.
+    at distance 0 carrying the maximum score each config can produce.
+    Otherwise each length bucket some config's threshold can admit is
+    scanned once, at the loosest admitting bound, and every config keeps
+    the rows within its own bound. Ordering is proxy weight descending,
+    then edit distance, then frequency descending, then the term itself.
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
@@ -317,29 +326,42 @@ def normalize(
     if len(probe) < 2:
         raise TermTooShortError(f"cannot normalize {term!r}: need at least 2 characters")
     if probe in vocab:
-        prun = _pruning_weight_exact(probe, probe, config)
         length = Fraction(len(probe))
-        score = _proxy_exact(prun, 0, length, config.formula)
-        return [Candidate(probe, 0, float(prun), length, float(score))]
+        exact = []
+        for config in configs:
+            prun = _pruning_weight_exact(probe, probe, config)
+            score = _proxy_exact(prun, 0, length, config.formula)
+            exact.append([Candidate(probe, 0, float(prun), length, float(score))])
+        return exact
 
     query_len = len(probe)
-    rule = config.length_rule
-    scored: list[tuple[Fraction, int, int, str, VocabTerm, Fraction, Fraction]] = []
+    scored: list[list[tuple]] = [[] for _ in configs]
     for vocab_len in vocab.bucket_lengths():
-        if rule is LengthRule.VOCAB_LONGER and vocab_len <= query_len:
+        admitted = []  # (rows, config, distance bound, effective length)
+        for rows, config in zip(scored, configs):
+            rule = config.length_rule
+            if rule is LengthRule.VOCAB_LONGER and vocab_len <= query_len:
+                continue
+            bound = _max_qualifying_ed(vocab_len, query_len, rule)
+            # below the length gap, no edit script can both bridge it and qualify
+            if bound >= abs(vocab_len - query_len):
+                eff = effective_length(vocab_len, query_len, rule)
+                admitted.append((rows, config, bound, eff))
+        if not admitted:
             continue
-        bound = _max_qualifying_ed(vocab_len, query_len, rule)
-        if bound < abs(vocab_len - query_len):
-            continue  # no edit script can both bridge the gap and qualify
-        eff = effective_length(vocab_len, query_len, rule)
-        for vt, ed in _bucket_distances(vocab, vocab_len, probe, bound):
-            prun = _pruning_weight_exact(probe, vt.term, config)
-            score = _proxy_exact(prun, ed, eff, config.formula)
-            scored.append((-score, ed, -vt.frequency, vt.term, vt, prun, eff))
-    scored.sort(key=lambda row: row[:4])
+        for vt, ed in _bucket_distances(vocab, vocab_len, probe, max(a[2] for a in admitted)):
+            for rows, config, bound, eff in admitted:
+                if ed <= bound:
+                    prun = _pruning_weight_exact(probe, vt.term, config)
+                    score = _proxy_exact(prun, ed, eff, config.formula)
+                    rows.append((-score, ed, -vt.frequency, vt.term, prun, eff))
+    # terms are unique, so whole rows sort by their first four fields alone
     return [
-        Candidate(vt.term, ed, float(prun), eff, float(-neg_score))
-        for neg_score, ed, _, _, vt, prun, eff in scored[:top_k]
+        [
+            Candidate(term, ed, float(prun), eff, float(-neg_score))
+            for neg_score, ed, _, term, prun, eff in sorted(rows)[:top_k]
+        ]
+        for rows in scored
     ]
 
 

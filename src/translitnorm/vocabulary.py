@@ -45,7 +45,7 @@ def tokenize(text: str, case_fold: bool = True) -> list[str]:
     return tokens
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VocabTerm:
     """A normal term with its corpus statistics."""
 

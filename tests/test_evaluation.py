@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,7 @@ from translitnorm import (
     build_vocabulary,
     compare_models,
     evaluate_model,
+    load_corpus,
     load_gold_set,
     model_config,
     reciprocal_rank,
@@ -24,6 +26,8 @@ from translitnorm.synthetic import gold_pairs
 from helpers import random_vocabulary
 
 M1 = model_config("m1")
+
+DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
 
 def _ranked(*terms: str) -> list[Candidate]:
@@ -149,6 +153,32 @@ class TestCompareModels:
         assert m1.avg_mrr > 0.0
         assert m1.avg_p1 == 1.0
 
+    def test_gold_set_checked(self):
+        vocab = build_vocabulary(["phule"])
+        with pytest.raises(EmptyGoldSetError):
+            compare_models([], vocab)
+        with pytest.raises(GoldTermMissingError) as err:
+            compare_models([GoldPair("fule", "phule"), GoldPair("rxn", "ran")], vocab)
+        assert err.value.terms == ("ran",)
+
+    @staticmethod
+    def _assert_matches_evaluate(pairs, vocab):
+        report = compare_models(pairs, vocab)
+        assert report.sample_count == len(pairs)
+        for model_id in ("m1", "m2", "m3", "m4"):
+            assert report.scores[model_id] == evaluate_model(pairs, vocab, model_config(model_id))
+
+    def test_matches_one_model_at_a_time_on_bundled_gold(self):
+        vocab = build_vocabulary(load_corpus(DATA_DIR / "corpus"))
+        pairs = load_gold_set(DATA_DIR / "gold_large.tsv", vocab)
+        self._assert_matches_evaluate(pairs, vocab)
+
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_matches_one_model_at_a_time_on_generated_sets(self, seed):
+        rng = random.Random(40 + seed)
+        vocab = random_vocabulary(rng, 400, min_len=4, max_len=10)
+        self._assert_matches_evaluate(gold_pairs(vocab, 25, seed=seed), vocab)
+
 
 class TestRenderReport:
     def test_layout(self):
@@ -190,6 +220,11 @@ class TestLoadGoldSet:
         path.write_text("fule\tabsent\n")
         with pytest.raises(GoldTermMissingError):
             load_gold_set(path, vocab)
+
+    def test_empty_file_with_vocab(self, tmp_path):
+        path = tmp_path / "gold.tsv"
+        path.write_text("# no pairs\n")
+        assert load_gold_set(path, build_vocabulary(["phule"])) == []
 
     @pytest.mark.parametrize(
         "content",

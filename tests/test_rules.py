@@ -19,6 +19,7 @@ from translitnorm import (
     load_model_config,
     model_config,
     normalize,
+    normalize_many,
     proxy_weight,
     pruning_weight,
     qualifies,
@@ -355,6 +356,44 @@ class TestScanAgainstReference:
             got = candidate_rows(normalize(term, vocab, config))
             want = naive_normalize(term, vocab, config)
             assert got == want
+
+
+class TestNormalizeMany:
+    CONFIGS = [
+        M1,
+        M2,
+        M3,
+        M4,
+        model_config("m2", formula=2),
+        model_config("m3", weights=RuleWeights(0.9, 0.1, 0.05, 0.5, 0.3)),
+    ]
+
+    @staticmethod
+    def _probes(rng, vocab):
+        terms = [vt.term for vt in vocab.terms()]
+        yield rng.choice(terms)  # in the vocabulary
+        yield rng.choice(terms).upper()  # in the vocabulary once folded
+        yield "".join(rng.choice("abcdefghij") for _ in range(2))
+        for _ in range(6):
+            yield "".join(rng.choice("abcdefghij") for _ in range(rng.randint(2, 12)))
+        for letter in ("ï", "ā", "ṣ"):
+            word = rng.choice(terms)
+            pos = rng.randrange(len(word) + 1)
+            yield word[:pos] + letter + word[pos:]
+            yield word[:pos] + letter + word[pos + 1 :]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_naive_scan_per_config(self, seed):
+        rng = random.Random(100 + seed)
+        vocab = random_vocabulary(rng, 120 + seed * 60)
+        for probe in self._probes(rng, vocab):
+            got = normalize_many(probe, vocab, self.CONFIGS)
+            want = [naive_normalize(probe, vocab, config) for config in self.CONFIGS]
+            assert [candidate_rows(ranked) for ranked in got] == want, probe
+
+    def test_no_configs(self):
+        vocab = build_vocabulary(["phule"])
+        assert normalize_many("phul", vocab, []) == []
 
 
 class TestBatchDistances:
