@@ -11,6 +11,7 @@ import re
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -54,11 +55,6 @@ class VocabTerm:
     doc_count: int
 
 
-def _term_order(vt: VocabTerm) -> tuple[int, str]:
-    # canonical ordering everywhere a sequence of terms is exposed
-    return (-vt.frequency, vt.term)
-
-
 class Vocabulary:
     """Immutable set of normal terms with a length-bucket index."""
 
@@ -80,11 +76,15 @@ class Vocabulary:
             by_term[vt.term] = vt
         self.case_fold = case_fold
         self._terms = by_term
+        # The canonical order, most frequent first, ties alphabetical, from two
+        # stable sorts: a (-frequency, term) key tuple per term costs more,
+        # mostly in garbage collection of the live key tuples.
+        ordered = sorted(by_term.values(), key=attrgetter("term"))
+        ordered.sort(key=attrgetter("frequency"), reverse=True)
+        self._ordered = ordered
         buckets: dict[int, list[VocabTerm]] = {}
-        for vt in by_term.values():
+        for vt in ordered:
             buckets.setdefault(len(vt.term), []).append(vt)
-        for bucket in buckets.values():
-            bucket.sort(key=_term_order)
         self._buckets = buckets
         self._matrices: dict[int, np.ndarray] = {}
 
@@ -110,32 +110,13 @@ class Vocabulary:
 
     def terms(self) -> list[VocabTerm]:
         """All terms, most frequent first, ties alphabetical."""
-        return sorted(self._terms.values(), key=_term_order)
+        return list(self._ordered)
 
     def bucket_lengths(self) -> list[int]:
         return sorted(self._buckets)
 
     def bucket(self, length: int) -> list[VocabTerm]:
         return self._buckets.get(length, [])
-
-    @property
-    def max_length(self) -> int:
-        return max(self._buckets, default=0)
-
-    def candidates_in_length_range(self, min_len: int, max_len: int) -> list[VocabTerm]:
-        """Terms whose length l satisfies min_len <= l <= max_len.
-
-        Ordered by descending frequency, then alphabetically.
-        """
-        if not 2 <= min_len <= max_len:
-            raise ValueError("need 2 <= min_len <= max_len")
-        found = [
-            vt
-            for length in range(min_len, max_len + 1)
-            for vt in self._buckets.get(length, [])
-        ]
-        found.sort(key=_term_order)
-        return found
 
     def term_matrix(self, length: int) -> np.ndarray:
         """uint8 code matrix of the bucket, one row per term, cached.
@@ -197,8 +178,9 @@ def save_vocabulary(vocab: Vocabulary, destination: str | Path) -> None:
 def load_vocabulary(source: str | Path) -> Vocabulary:
     """Parse a vocabulary file written by save_vocabulary.
 
-    Raises FormatError on a bad header, malformed lines, non-integer
-    counts, duplicate terms or terms shorter than 2 characters.
+    Raises FormatError on a bad header, malformed lines, counts that are
+    not ASCII decimal integers, duplicate terms or terms shorter than 2
+    characters.
     """
     text = Path(source).read_text(encoding="utf-8")
     lines = text.splitlines()
@@ -214,7 +196,8 @@ def load_vocabulary(source: str | Path) -> Vocabulary:
         if len(parts) != 3:
             raise FormatError(f"line {lineno}: expected term, frequency, doc_count")
         term, freq_s, docs_s = parts
-        if not freq_s.isdigit() or not docs_s.isdigit():
+        # isdigit() alone admits non-ASCII digits, which int() rejects ("²") or reads ("١٢")
+        if not (freq_s.isascii() and docs_s.isascii() and freq_s.isdigit() and docs_s.isdigit()):
             raise FormatError(f"line {lineno}: non-integer count")
         terms.append(VocabTerm(term, int(freq_s), int(docs_s)))
     return Vocabulary(terms, case_fold)

@@ -11,6 +11,7 @@ from translitnorm.synthetic import (
     corrupt_term,
     gold_pairs,
     word_pool,
+    write_dataset,
 )
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -59,3 +60,11 @@ class TestBundledData:
         pairs = load_gold_set(DATA_DIR / name, vocab)
         assert len(pairs) == expected
         assert all(p.noisy not in vocab for p in pairs)
+
+    def test_regeneration_is_byte_identical(self, tmp_path):
+        write_dataset(tmp_path)
+        names = sorted(p.name for p in (DATA_DIR / "corpus").iterdir())
+        assert sorted(p.name for p in (tmp_path / "corpus").iterdir()) == names
+        files = [f"corpus/{name}" for name in names]
+        for rel in files + ["gold_small.tsv", "gold_large.tsv"]:
+            assert (tmp_path / rel).read_bytes() == (DATA_DIR / rel).read_bytes(), rel

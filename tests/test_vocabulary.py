@@ -99,31 +99,6 @@ class TestContains:
 
 
 class TestLengthIndex:
-    def test_range_query(self):
-        vocab = build_vocabulary(["ab abc abcd"])
-        found = [vt.term for vt in vocab.candidates_in_length_range(3, 4)]
-        assert found == ["abc", "abcd"]
-
-    def test_empty_range(self):
-        vocab = build_vocabulary(["ab"])
-        assert vocab.candidates_in_length_range(5, 9) == []
-
-    def test_frequency_order(self):
-        vocab = build_vocabulary(["cd cd cd ab"])
-        found = [vt.term for vt in vocab.candidates_in_length_range(2, 2)]
-        assert found == ["cd", "ab"]
-
-    def test_full_range_returns_everything(self):
-        vocab = build_vocabulary(["ek don tin chaar paach sahaa"])
-        everything = vocab.candidates_in_length_range(2, vocab.max_length)
-        assert {vt.term for vt in everything} == {vt.term for vt in vocab.terms()}
-
-    @pytest.mark.parametrize(("lo", "hi"), [(1, 4), (0, 2), (5, 3)])
-    def test_bad_ranges_rejected(self, lo, hi):
-        vocab = build_vocabulary(["ab"])
-        with pytest.raises(ValueError):
-            vocab.candidates_in_length_range(lo, hi)
-
     def test_buckets_partition_terms(self):
         rng = random.Random(4)
         words = {
@@ -137,6 +112,30 @@ class TestLengthIndex:
                 assert len(vt.term) == length
                 seen.append(vt.term)
         assert sorted(seen) == sorted(vt.term for vt in vocab.terms())
+
+    @pytest.mark.parametrize("case_fold", [True, False])
+    def test_canonical_order(self, case_fold):
+        rng = random.Random(11)
+        letters = "abcdef" if case_fold else "abcABC"
+        words = {
+            "".join(rng.choice(letters) for _ in range(rng.randint(2, 7)))
+            for _ in range(400)
+        }
+        entries = []
+        for word in words:
+            docs = rng.randint(1, 3)
+            entries.append(VocabTerm(word, docs + rng.randint(0, 3), docs))
+        rng.shuffle(entries)
+        vocab = Vocabulary(entries, case_fold=case_fold)
+        expected = sorted(entries, key=lambda vt: (-vt.frequency, vt.term))
+        assert vocab.terms() == expected
+        assert vocab.bucket_lengths() == sorted({len(w) for w in words})
+        for length in vocab.bucket_lengths():
+            assert vocab.bucket(length) == [
+                vt for vt in expected if len(vt.term) == length
+            ]
+        vocab.terms().clear()
+        assert vocab.terms() == expected
 
     def test_term_matrix_mirrors_bucket(self):
         vocab = build_vocabulary(["abc abd xyz"])
@@ -206,11 +205,13 @@ class TestPersistence:
             "#translit-norm-vocab v1 case_fold=true\nab\t1\t1\nab\t2\t1",
             "#translit-norm-vocab v1 case_fold=true\na\t1\t1",
             "#translit-norm-vocab v1 case_fold=true\nab\t1\t2",
+            "#translit-norm-vocab v1 case_fold=true\nab\t\u00b2\t1",
+            "#translit-norm-vocab v1 case_fold=true\nab\t\u0661\u0662\t1",
         ],
     )
     def test_malformed_files(self, tmp_path, content):
         path = tmp_path / "vocab.tsv"
-        path.write_text(content)
+        path.write_text(content, encoding="utf-8")
         with pytest.raises(FormatError):
             load_vocabulary(path)
 
