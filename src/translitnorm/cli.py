@@ -76,7 +76,7 @@ def _cmd_build_vocab(args: argparse.Namespace) -> int:
     vocab = vocabulary.build_vocabulary(documents, case_fold=not args.preserve_case)
     vocabulary.save_vocabulary(vocab, args.out)
     print(f"terms\t{len(vocab)}")
-    print(f"tokens\t{sum(vt.frequency for vt in vocab.terms())}")
+    print(f"tokens\t{vocab.total_frequency()}")
     return 0
 
 

@@ -285,19 +285,19 @@ def _batch_bounded(query_codes: np.ndarray, matrix: np.ndarray, bound: int) -> n
 def _bucket_distances(
     vocab: Vocabulary, length: int, probe: str, bound: int
 ) -> list[tuple[VocabTerm, int]]:
-    bucket = vocab.bucket(length)
-    if not bucket:
+    terms = vocab.bucket_terms(length)
+    if not terms:
         return []
     if probe.isascii():
         codes = np.frombuffer(probe.encode("ascii"), dtype=np.uint8)
         eds = _batch_bounded(codes, vocab.term_matrix(length), bound)
         hits = np.flatnonzero(eds <= bound)
-        return [(bucket[i], int(eds[i])) for i in hits]
+        return [(vocab.lookup(terms[i]), int(eds[i])) for i in hits]
     pairs = []
-    for vt in bucket:
-        ed = levenshtein_bounded(probe, vt.term, bound)
+    for term in terms:
+        ed = levenshtein_bounded(probe, term, bound)
         if ed is not None:
-            pairs.append((vt, ed))
+            pairs.append((vocab.lookup(term), ed))
     return pairs
 
 
@@ -392,6 +392,17 @@ def parse_config_text(text: str) -> dict[str, str]:
     return entries
 
 
+def _config_number(entries: dict[str, str], key: str, parse, kind: str):
+    # int() and float() also read non-ASCII digits ("٢" is 2); values are ASCII
+    value = entries[key]
+    try:
+        if value.isascii():
+            return parse(value)
+    except ValueError:
+        pass
+    raise FormatError(f"config: {key} must be {kind}, got {value!r}")
+
+
 def load_model_config(
     path: str | Path | None,
     model: str | None = None,
@@ -405,19 +416,14 @@ def load_model_config(
     if model is None:
         model = entries.get("model", "m3")
     if formula is None and "eq" in entries:
-        try:
-            formula = int(entries["eq"])
-        except ValueError:
-            raise FormatError(f"config: eq must be an integer, got {entries['eq']!r}")
+        formula = _config_number(entries, "eq", int, "an integer")
         if formula not in (1, 2, 3):
             raise FormatError(f"config: eq must be 1, 2 or 3, got {formula}")
-    overrides = {}
-    for key in ("wt1", "wt2", "wt3", "wt4", "wt5"):
-        if key in entries:
-            try:
-                overrides[key] = float(entries[key])
-            except ValueError:
-                raise FormatError(f"config: {key} must be a decimal, got {entries[key]!r}")
+    overrides = {
+        key: _config_number(entries, key, float, "a decimal")
+        for key in ("wt1", "wt2", "wt3", "wt4", "wt5")
+        if key in entries
+    }
     try:
         weights = RuleWeights(**overrides) if overrides else None
         return model_config(model, formula=formula, weights=weights)

@@ -11,7 +11,8 @@ import re
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import compress
+from operator import attrgetter, eq, ge, lt
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,10 @@ __all__ = [
 _TOKEN_RE = re.compile(r"[A-Za-z]{2,}")
 _TERM_RE = re.compile(r"[A-Za-z]{2,}\Z")
 _HEADER_RE = re.compile(r"#translit-norm-vocab v1 case_fold=(true|false)\Z")
+# A whole vocabulary file body, one row per line; the case of terms is left
+# to the vocabulary's own checks. The possessive repeat keeps no backtracking
+# state per row: a greedy one holds about 13 MB for 50k rows.
+_BODY_RE = re.compile(r"(?:[A-Za-z]{2,}\t[0-9]+\t[0-9]+\n)*+")
 
 
 def tokenize(text: str, case_fold: bool = True) -> list[str]:
@@ -56,48 +61,88 @@ class VocabTerm:
 
 
 class Vocabulary:
-    """Immutable set of normal terms with a length-bucket index."""
+    """Immutable set of normal terms with a length-bucket index.
+
+    Terms are stored as columns in the canonical order (most frequent
+    first, ties alphabetical): terms, frequencies and document counts, a
+    ``term -> row`` dict, and one tuple of terms per length. ``VocabTerm``
+    objects are built on request.
+    """
 
     def __init__(self, terms: Iterable[VocabTerm], case_fold: bool = True) -> None:
-        by_term: dict[str, VocabTerm] = {}
-        for vt in terms:
-            if not _TERM_RE.match(vt.term):
-                raise FormatError(f"invalid vocabulary term {vt.term!r}")
-            if case_fold and not vt.term.islower():
-                raise FormatError(
-                    f"case-folded vocabulary holds non-lowercase term {vt.term!r}"
-                )
-            if vt.term in by_term:
-                raise FormatError(f"duplicate vocabulary term {vt.term!r}")
-            if vt.doc_count < 1 or vt.frequency < vt.doc_count:
-                raise FormatError(
-                    f"term {vt.term!r} needs frequency >= doc_count >= 1"
-                )
-            by_term[vt.term] = vt
+        items = list(terms)
+        self._fill(
+            list(map(attrgetter("term"), items)),
+            list(map(attrgetter("frequency"), items)),
+            list(map(attrgetter("doc_count"), items)),
+            case_fold,
+        )
+
+    @classmethod
+    def _from_columns(
+        cls, terms: list[str], freqs: list[int], docs: list[int], case_fold: bool
+    ) -> Vocabulary:
+        vocab = cls.__new__(cls)
+        vocab._fill(terms, freqs, docs, case_fold)
+        return vocab
+
+    def _fill(
+        self, terms: list[str], freqs: list[int], docs: list[int], case_fold: bool
+    ) -> None:
+        # Every constructor ends here: whole-column checks that run in C, and
+        # the per-term loop only to word the first error when one fails. Row
+        # numbers, not (frequency, doc_count) tuples, keep the garbage
+        # collector out of the load.
+        size = len(terms)
+        rows = dict(zip(terms, range(size)))
+        letters = "".join(terms)
+        if not (
+            len(rows) == size
+            and letters.isascii()
+            and letters.isalpha()
+            and (not case_fold or letters.islower())
+            and min(map(len, terms), default=2) >= 2
+            and min(docs, default=1) >= 1
+            and all(map(ge, freqs, docs))
+        ):
+            _check_terms(terms, freqs, docs, case_fold)
+        if not _in_canonical_order(terms, freqs):
+            # two stable sorts of row numbers: by term, then by descending frequency
+            order = sorted(range(size), key=terms.__getitem__)
+            order.sort(key=freqs.__getitem__, reverse=True)
+            terms, freqs, docs = (list(map(c.__getitem__, order)) for c in (terms, freqs, docs))
+            rows = dict(zip(terms, range(size)))
+        buckets: dict[int, list[str]] = {}
+        for term in terms:
+            buckets.setdefault(len(term), []).append(term)
         self.case_fold = case_fold
-        self._terms = by_term
-        # The canonical order, most frequent first, ties alphabetical, from two
-        # stable sorts: a (-frequency, term) key tuple per term costs more,
-        # mostly in garbage collection of the live key tuples.
-        ordered = sorted(by_term.values(), key=attrgetter("term"))
-        ordered.sort(key=attrgetter("frequency"), reverse=True)
-        self._ordered = ordered
-        buckets: dict[int, list[VocabTerm]] = {}
-        for vt in ordered:
-            buckets.setdefault(len(vt.term), []).append(vt)
-        self._buckets = buckets
+        self._terms = terms
+        self._freqs = freqs
+        self._docs = docs
+        self._rows = rows
+        self._buckets = {length: tuple(b) for length, b in buckets.items()}
         self._matrices: dict[int, np.ndarray] = {}
+
+    def _entry(self, row: int) -> VocabTerm:
+        return VocabTerm(self._terms[row], self._freqs[row], self._docs[row])
 
     def __len__(self) -> int:
         return len(self._terms)
 
     def __contains__(self, term: str) -> bool:
-        return self.fold(term) in self._terms
+        return self.fold(term) in self._rows
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Vocabulary):
             return NotImplemented
-        return self.case_fold == other.case_fold and self._terms == other._terms
+        # the canonical order is a function of the term set, so equal
+        # vocabularies have equal columns
+        return (
+            self.case_fold == other.case_fold
+            and self._terms == other._terms
+            and self._freqs == other._freqs
+            and self._docs == other._docs
+        )
 
     __hash__ = None  # mutable-equality semantics, like a dict
 
@@ -106,17 +151,28 @@ class Vocabulary:
         return term.lower() if self.case_fold else term
 
     def lookup(self, term: str) -> VocabTerm | None:
-        return self._terms.get(self.fold(term))
+        row = self._rows.get(self.fold(term))
+        return None if row is None else self._entry(row)
 
     def terms(self) -> list[VocabTerm]:
-        """All terms, most frequent first, ties alphabetical."""
-        return list(self._ordered)
+        """All terms, most frequent first, ties alphabetical; a new list."""
+        return list(map(VocabTerm, self._terms, self._freqs, self._docs))
+
+    def total_frequency(self) -> int:
+        """Sum of all term frequencies: the number of tokens counted."""
+        return sum(self._freqs)
 
     def bucket_lengths(self) -> list[int]:
         return sorted(self._buckets)
 
     def bucket(self, length: int) -> list[VocabTerm]:
-        return self._buckets.get(length, [])
+        """The terms of one length in canonical order; a new list."""
+        rows = self._rows
+        return [self._entry(rows[t]) for t in self._buckets.get(length, ())]
+
+    def bucket_terms(self, length: int) -> tuple[str, ...]:
+        """The term strings of bucket(length), in the same order."""
+        return self._buckets.get(length, ())
 
     def term_matrix(self, length: int) -> np.ndarray:
         """uint8 code matrix of the bucket, one row per term, cached.
@@ -126,11 +182,39 @@ class Vocabulary:
         """
         mat = self._matrices.get(length)
         if mat is None:
-            bucket = self._buckets.get(length, [])
-            data = "".join(vt.term for vt in bucket).encode("ascii")
-            mat = np.frombuffer(data, dtype=np.uint8).reshape(len(bucket), length)
+            terms = self._buckets.get(length, ())
+            data = "".join(terms).encode("ascii")
+            mat = np.frombuffer(data, dtype=np.uint8).reshape(len(terms), length)
             self._matrices[length] = mat
         return mat
+
+
+def _check_terms(
+    terms: list[str], freqs: list[int], docs: list[int], case_fold: bool
+) -> None:
+    """Raise FormatError for the first invalid row, checks in row order."""
+    seen = set()
+    for term, freq, doc_count in zip(terms, freqs, docs):
+        if not _TERM_RE.match(term):
+            raise FormatError(f"invalid vocabulary term {term!r}")
+        if case_fold and not term.islower():
+            raise FormatError(
+                f"case-folded vocabulary holds non-lowercase term {term!r}"
+            )
+        if term in seen:
+            raise FormatError(f"duplicate vocabulary term {term!r}")
+        if doc_count < 1 or freq < doc_count:
+            raise FormatError(f"term {term!r} needs frequency >= doc_count >= 1")
+        seen.add(term)
+
+
+def _in_canonical_order(terms: list[str], freqs: list[int]) -> bool:
+    """Most frequent first and, among equal frequencies, strictly alphabetical."""
+    later = freqs[1:]
+    ties = list(map(eq, freqs, later))
+    return all(map(ge, freqs, later)) and all(
+        map(lt, compress(terms, ties), compress(terms[1:], ties))
+    )
 
 
 def build_vocabulary(documents: Iterable[str], case_fold: bool = True) -> Vocabulary:
@@ -148,8 +232,12 @@ def build_vocabulary(documents: Iterable[str], case_fold: bool = True) -> Vocabu
         doc_counts.update(set(tokens))
     if not frequency:
         raise EmptyCorpusError("empty corpus: no tokens survived tokenization")
-    return Vocabulary(
-        (VocabTerm(t, n, doc_counts[t]) for t, n in frequency.items()), case_fold
+    terms = list(frequency)
+    return Vocabulary._from_columns(
+        terms,
+        list(frequency.values()),
+        list(map(doc_counts.__getitem__, terms)),
+        case_fold,
     )
 
 
@@ -170,7 +258,7 @@ def save_vocabulary(vocab: Vocabulary, destination: str | Path) -> None:
     flag = "true" if vocab.case_fold else "false"
     lines = [f"#translit-norm-vocab v1 case_fold={flag}"]
     lines.extend(
-        f"{vt.term}\t{vt.frequency}\t{vt.doc_count}" for vt in vocab.terms()
+        f"{t}\t{f}\t{d}" for t, f, d in zip(vocab._terms, vocab._freqs, vocab._docs)
     )
     Path(destination).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -182,16 +270,30 @@ def load_vocabulary(source: str | Path) -> Vocabulary:
     not ASCII decimal integers, duplicate terms or terms shorter than 2
     characters.
     """
-    text = Path(source).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = Path(source).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise FormatError("empty vocabulary file")
     header = _HEADER_RE.match(lines[0])
     if header is None:
         raise FormatError(f"bad vocabulary header: {lines[0]!r}")
     case_fold = header.group(1) == "true"
-    terms = []
-    for lineno, line in enumerate(lines[1:], 2):
+    body = "\n".join([*lines[1:], ""])
+    if _BODY_RE.fullmatch(body):
+        # Each copy of the file is let go before the next one is made, which
+        # keeps the peak memory of a load near that of the finished vocabulary.
+        del lines
+        fields = body.split()
+        terms, freqs, docs = fields[::3], list(map(int, fields[1::3])), list(map(int, fields[2::3]))
+        del fields
+    else:
+        terms, freqs, docs = _split_rows(lines[1:])
+    return Vocabulary._from_columns(terms, freqs, docs, case_fold)
+
+
+def _split_rows(rows: list[str]) -> tuple[list[str], list[int], list[int]]:
+    """Split file rows into columns, raising FormatError at the first bad line."""
+    terms, freqs, docs = [], [], []
+    for lineno, line in enumerate(rows, 2):
         parts = line.split("\t")
         if len(parts) != 3:
             raise FormatError(f"line {lineno}: expected term, frequency, doc_count")
@@ -199,5 +301,7 @@ def load_vocabulary(source: str | Path) -> Vocabulary:
         # isdigit() alone admits non-ASCII digits, which int() rejects ("²") or reads ("١٢")
         if not (freq_s.isascii() and docs_s.isascii() and freq_s.isdigit() and docs_s.isdigit()):
             raise FormatError(f"line {lineno}: non-integer count")
-        terms.append(VocabTerm(term, int(freq_s), int(docs_s)))
-    return Vocabulary(terms, case_fold)
+        terms.append(term)
+        freqs.append(int(freq_s))
+        docs.append(int(docs_s))
+    return terms, freqs, docs

@@ -9,11 +9,14 @@ and re-derives thresholds and scores from first principles.
 from __future__ import annotations
 
 import random
+import re
 import string
 from fractions import Fraction
+from pathlib import Path
 
 from translitnorm import (
     CharRule,
+    FormatError,
     Formula,
     LengthRule,
     ModelConfig,
@@ -172,3 +175,85 @@ def random_query(rng: random.Random, vocab: Vocabulary) -> str:
         return word
     length = rng.randint(2, 12)
     return "".join(rng.choice("abcdefghij") for _ in range(length))
+
+
+# Malformed vocabulary files and the FormatError message each one raises.
+MALFORMED_VOCABULARIES = [
+    ("", "empty vocabulary file"),
+    ("no header\nab\t1\t1", "bad vocabulary header: 'no header'"),
+    (
+        "#translit-norm-vocab v2 case_fold=true\nab\t1\t1",
+        "bad vocabulary header: '#translit-norm-vocab v2 case_fold=true'",
+    ),
+    (
+        "#translit-norm-vocab v1 case_fold=maybe\nab\t1\t1",
+        "bad vocabulary header: '#translit-norm-vocab v1 case_fold=maybe'",
+    ),
+    ("#translit-norm-vocab v1 case_fold=true\nab\tx\t1", "line 2: non-integer count"),
+    ("#translit-norm-vocab v1 case_fold=true\nab\t1\t-1", "line 2: non-integer count"),
+    (
+        "#translit-norm-vocab v1 case_fold=true\nab\t1",
+        "line 2: expected term, frequency, doc_count",
+    ),
+    (
+        "#translit-norm-vocab v1 case_fold=true\nab\t1\t1\nab\t2\t1",
+        "duplicate vocabulary term 'ab'",
+    ),
+    ("#translit-norm-vocab v1 case_fold=true\na\t1\t1", "invalid vocabulary term 'a'"),
+    (
+        "#translit-norm-vocab v1 case_fold=true\nab\t1\t2",
+        "term 'ab' needs frequency >= doc_count >= 1",
+    ),
+    ("#translit-norm-vocab v1 case_fold=true\nab\t\u00b2\t1", "line 2: non-integer count"),
+    ("#translit-norm-vocab v1 case_fold=true\nab\t\u0661\u0662\t1", "line 2: non-integer count"),
+]
+
+_NAIVE_TERM_RE = re.compile(r"[A-Za-z]{2,}\Z")
+_NAIVE_HEADER_RE = re.compile(r"#translit-norm-vocab v1 case_fold=(true|false)\Z")
+
+
+def naive_check_terms(rows: list[VocabTerm], case_fold: bool) -> list[VocabTerm]:
+    """Validate rows one by one and return them in canonical order.
+
+    The per-term checks of a vocabulary, in row order: a term of two or
+    more ASCII letters, lowercase when case-folded, not seen before, and
+    frequency >= doc_count >= 1. Raises FormatError at the first bad row.
+    """
+    seen = set()
+    for vt in rows:
+        if not _NAIVE_TERM_RE.match(vt.term):
+            raise FormatError(f"invalid vocabulary term {vt.term!r}")
+        if case_fold and not vt.term.islower():
+            raise FormatError(f"case-folded vocabulary holds non-lowercase term {vt.term!r}")
+        if vt.term in seen:
+            raise FormatError(f"duplicate vocabulary term {vt.term!r}")
+        if vt.doc_count < 1 or vt.frequency < vt.doc_count:
+            raise FormatError(f"term {vt.term!r} needs frequency >= doc_count >= 1")
+        seen.add(vt.term)
+    return sorted(rows, key=lambda vt: (-vt.frequency, vt.term))
+
+
+def naive_load_vocabulary(path: str | Path) -> tuple[bool, list[VocabTerm]]:
+    """Line-by-line reference parse of a vocabulary file.
+
+    Returns (case_fold, terms in canonical order) or raises the FormatError
+    a line or a term check words first: every line is checked before any
+    term, as the format's first parser did.
+    """
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines:
+        raise FormatError("empty vocabulary file")
+    header = _NAIVE_HEADER_RE.match(lines[0])
+    if header is None:
+        raise FormatError(f"bad vocabulary header: {lines[0]!r}")
+    case_fold = header.group(1) == "true"
+    rows = []
+    for lineno, line in enumerate(lines[1:], 2):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise FormatError(f"line {lineno}: expected term, frequency, doc_count")
+        term, freq_s, docs_s = parts
+        if not all(ch in string.digits for ch in freq_s + docs_s) or not (freq_s and docs_s):
+            raise FormatError(f"line {lineno}: non-integer count")
+        rows.append(VocabTerm(term, int(freq_s), int(docs_s)))
+    return case_fold, naive_check_terms(rows, case_fold)

@@ -4,6 +4,8 @@ import pytest
 
 from translitnorm.cli import main
 
+from helpers import MALFORMED_VOCABULARIES
+
 
 @pytest.fixture()
 def corpus_dir(tmp_path):
@@ -103,6 +105,15 @@ class TestNormalizeCommand:
         bad = tmp_path / "bad.tsv"
         bad.write_text("not a vocabulary\n")
         assert main(["normalize", "--vocab", str(bad), "--term", "ab"]) == 1
+
+    @pytest.mark.parametrize("content,message", MALFORMED_VOCABULARIES)
+    def test_malformed_vocab_error_text(self, tmp_path, capsys, content, message):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(content, encoding="utf-8")
+        assert main(["normalize", "--vocab", str(bad), "--term", "ab"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_eq_with_m1_is_usage_error(self, vocab_file):
         with pytest.raises(SystemExit) as err:

@@ -228,11 +228,15 @@ class TestConfigFile:
 
     @pytest.mark.parametrize(
         "content",
-        ["wt9=0.5", "model", "model=m7", "eq=5", "wt1=abc", "model=m2\nmodel=m3", "eq=2.5"],
+        [
+            "wt9=0.5", "model", "model=m7", "eq=5", "wt1=abc", "model=m2\nmodel=m3", "eq=2.5",
+            # int() and float() read these as 2 and 0.9
+            "eq=\u0662", "wt1=\u0660.\u0669",
+        ],
     )
     def test_malformed(self, tmp_path, content):
         path = tmp_path / "conf"
-        path.write_text(content)
+        path.write_text(content, encoding="utf-8")
         with pytest.raises(FormatError):
             load_model_config(path)
 

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import random
+import string
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from translitnorm import (
@@ -15,8 +16,76 @@ from translitnorm import (
     load_corpus,
     load_vocabulary,
     save_vocabulary,
+    model_config,
+    normalize,
     tokenize,
 )
+
+from translitnorm import vocabulary
+
+from helpers import MALFORMED_VOCABULARIES, naive_check_terms, naive_load_vocabulary
+
+# every line break str.splitlines knows; "\n" is drawn most often
+_BREAKS = ["\n"] * 8 + ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_FAULTS = [None] * 6 + [
+    "duplicate", "capital", "short term", "digit in term", "zero doc_count",
+    "frequency below doc_count", "two fields", "four fields", "empty count",
+    "Unicode digit", "space", "tab in term",
+]
+
+
+@st.composite
+def vocabulary_files(draw):
+    """Text of a vocabulary file with at most one fault, and the fault's name.
+
+    Rows are random terms with consistent counts, either in the canonical
+    order save_vocabulary writes or unsorted; line breaks are drawn per
+    line and the final one may be missing.
+    """
+    case_fold = draw(st.booleans())
+    letters = "abcde" if case_fold else "abcDE"
+    terms = draw(st.lists(st.text(letters, min_size=2, max_size=7), unique=True, max_size=30))
+    rows = []
+    for term in terms:
+        docs = draw(st.integers(1, 3))
+        rows.append([term, str(docs + draw(st.integers(0, 3))), str(docs)])
+    if draw(st.booleans()):
+        rows.sort(key=lambda row: (-int(row[1]), row[0]))
+    fault = draw(st.sampled_from(_FAULTS)) if rows else None
+    if fault == "duplicate":
+        # a copy of an early row, placed far down the file
+        source = rows[draw(st.integers(0, (len(rows) - 1) // 3))]
+        rows.insert(draw(st.integers(len(rows) * 2 // 3, len(rows))), list(source))
+    elif fault is not None:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if fault == "capital":
+            row[0] = row[0][:-1] + row[0][-1].upper()
+        elif fault == "short term":
+            row[0] = row[0][0]
+        elif fault == "digit in term":
+            row[0] += "7"
+        elif fault == "zero doc_count":
+            row[2] = "0"
+        elif fault == "frequency below doc_count":
+            row[1], row[2] = "1", "2"
+        elif fault == "two fields":
+            del row[2]
+        elif fault == "four fields":
+            row.append("1")
+        elif fault == "empty count":
+            row[1] = ""
+        elif fault == "Unicode digit":
+            row[2] = "\u0661"
+        elif fault == "space":
+            row[0] = row[0][:1] + " " + row[0][1:]
+        else:
+            row[0] = row[0][:1] + "\t" + row[0][1:]
+    flag = "true" if case_fold else "false"
+    lines = [f"#translit-norm-vocab v1 case_fold={flag}", *map("\t".join, rows)]
+    breaks = draw(st.lists(st.sampled_from(_BREAKS), min_size=len(lines), max_size=len(lines)))
+    if not draw(st.booleans()):
+        breaks[-1] = ""
+    return "".join(map("".join, zip(lines, breaks))), fault
 
 
 class TestTokenize:
@@ -137,6 +206,16 @@ class TestLengthIndex:
         vocab.terms().clear()
         assert vocab.terms() == expected
 
+    def test_bucket_hands_out_a_copy(self):
+        vocab = build_vocabulary(["abc abd xyz"])
+        config = model_config("m3")
+        terms, ranked = vocab.terms(), normalize("abx", vocab, config)
+        vocab.bucket(3).clear()
+        assert vocab.bucket(3) == [VocabTerm(t, 1, 1) for t in ("abc", "abd", "xyz")]
+        assert len(vocab) == 3
+        assert vocab.terms() == terms
+        assert normalize("abx", vocab, config) == ranked
+
     def test_term_matrix_mirrors_bucket(self):
         vocab = build_vocabulary(["abc abd xyz"])
         mat = vocab.term_matrix(3)
@@ -169,6 +248,32 @@ class TestConstructionValidation:
         Vocabulary([VocabTerm("Ab", 1, 1)], case_fold=False)  # fine when preserved
 
 
+    @given(
+        rows=st.lists(
+            st.builds(
+                VocabTerm,
+                st.one_of(st.text("abAB", min_size=2, max_size=4), st.sampled_from(["a", "b1", "", "a b", "ab\ncd", "\u00e9a", "\u0430b"])),
+                st.integers(0, 4),
+                st.integers(0, 3),
+            ),
+            max_size=20,
+        ),
+        case_fold=st.booleans(),
+    )
+    def test_matches_reference(self, rows, case_fold):
+        try:
+            expected = naive_check_terms(rows, case_fold)
+        except FormatError as exc:
+            with pytest.raises(FormatError) as err:
+                Vocabulary(rows, case_fold)
+            assert str(err.value) == str(exc)
+            return
+        vocab = Vocabulary(rows, case_fold)
+        assert vocab.terms() == expected
+        for length in vocab.bucket_lengths():
+            assert vocab.bucket(length) == [vt for vt in expected if len(vt.term) == length]
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         vocab = build_vocabulary(["phule phule gaaNe", "phulen raana"], case_fold=True)
@@ -192,28 +297,51 @@ class TestPersistence:
         assert lines[0] == "#translit-norm-vocab v1 case_fold=true"
         assert lines[1:] == ["cd\t2\t1", "ab\t1\t1"]
 
-    @pytest.mark.parametrize(
-        "content",
-        [
-            "",
-            "no header\nab\t1\t1",
-            "#translit-norm-vocab v2 case_fold=true\nab\t1\t1",
-            "#translit-norm-vocab v1 case_fold=maybe\nab\t1\t1",
-            "#translit-norm-vocab v1 case_fold=true\nab\tx\t1",
-            "#translit-norm-vocab v1 case_fold=true\nab\t1\t-1",
-            "#translit-norm-vocab v1 case_fold=true\nab\t1",
-            "#translit-norm-vocab v1 case_fold=true\nab\t1\t1\nab\t2\t1",
-            "#translit-norm-vocab v1 case_fold=true\na\t1\t1",
-            "#translit-norm-vocab v1 case_fold=true\nab\t1\t2",
-            "#translit-norm-vocab v1 case_fold=true\nab\t\u00b2\t1",
-            "#translit-norm-vocab v1 case_fold=true\nab\t\u0661\u0662\t1",
-        ],
-    )
+    @pytest.mark.parametrize("content", [content for content, _ in MALFORMED_VOCABULARIES])
     def test_malformed_files(self, tmp_path, content):
         path = tmp_path / "vocab.tsv"
         path.write_text(content, encoding="utf-8")
         with pytest.raises(FormatError):
             load_vocabulary(path)
+
+    @given(drawn=vocabulary_files())
+    @example(drawn=("#translit-norm-vocab v1 case_fold=true\n", None))
+    @example(drawn=("#translit-norm-vocab v1 case_fold=false", None))
+    @example(drawn=("#translit-norm-vocab v1 case_fold=true\r\nab\t2\t1\r\ncd\t2\t1\r\n", None))
+    def test_load_matches_reference(self, tmp_path_factory, drawn):
+        text, fault = drawn
+        path = tmp_path_factory.mktemp("load") / "vocab.tsv"
+        path.write_text(text, encoding="utf-8", newline="")
+        try:
+            case_fold, expected = naive_load_vocabulary(path)
+        except FormatError as exc:
+            with pytest.raises(FormatError) as err:
+                load_vocabulary(path)
+            assert str(err.value) == str(exc)
+            return
+        assert fault is None or (fault == "capital" and not case_fold)
+        vocab = load_vocabulary(path)
+        assert vocab.case_fold is case_fold
+        assert len(vocab) == len(expected)
+        assert vocab.terms() == expected
+        lengths = sorted({len(vt.term) for vt in expected})
+        assert vocab.bucket_lengths() == lengths
+        for length in lengths:
+            assert vocab.bucket(length) == [vt for vt in expected if len(vt.term) == length]
+
+    def test_no_vocab_terms_built(self, tmp_path, monkeypatch):
+        # load, build and save work on columns; VocabTerm is made on request
+        vocab = build_vocabulary(["phule phule gaaNe", "phulen raana"])
+        path = tmp_path / "vocab.tsv"
+        save_vocabulary(vocab, path)
+
+        def refuse(*args):
+            raise AssertionError("a VocabTerm was built")
+
+        monkeypatch.setattr(vocabulary, "VocabTerm", refuse)
+        assert load_vocabulary(path) == build_vocabulary(["phule phule gaaNe", "phulen raana"])
+        save_vocabulary(load_vocabulary(path), tmp_path / "again.tsv")
+        assert vocab.total_frequency() == 5
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
