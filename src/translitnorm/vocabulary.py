@@ -94,11 +94,9 @@ class Vocabulary:
         # numbers, not (frequency, doc_count) tuples, keep the garbage
         # collector out of the load.
         size = len(terms)
-        rows = dict(zip(terms, range(size)))
         letters = "".join(terms)
         if not (
-            len(rows) == size
-            and letters.isascii()
+            letters.isascii()
             and letters.isalpha()
             and (not case_fold or letters.islower())
             and min(map(len, terms), default=2) >= 2
@@ -106,19 +104,20 @@ class Vocabulary:
             and all(map(ge, freqs, docs))
         ):
             _check_terms(terms, freqs, docs, case_fold)
+        columns = terms, freqs, docs
         if not _in_canonical_order(terms, freqs):
             # two stable sorts of row numbers: by term, then by descending frequency
             order = sorted(range(size), key=terms.__getitem__)
             order.sort(key=freqs.__getitem__, reverse=True)
-            terms, freqs, docs = (list(map(c.__getitem__, order)) for c in (terms, freqs, docs))
-            rows = dict(zip(terms, range(size)))
+            columns = [list(map(column.__getitem__, order)) for column in columns]
+        rows = dict(zip(columns[0], range(size)))
+        if len(rows) < size:
+            _check_terms(terms, freqs, docs, case_fold)  # words the first duplicate
+        self._terms, self._freqs, self._docs = columns
         buckets: dict[int, list[str]] = {}
-        for term in terms:
+        for term in self._terms:
             buckets.setdefault(len(term), []).append(term)
         self.case_fold = case_fold
-        self._terms = terms
-        self._freqs = freqs
-        self._docs = docs
         self._rows = rows
         self._buckets = {length: tuple(b) for length, b in buckets.items()}
         self._matrices: dict[int, np.ndarray] = {}
@@ -233,12 +232,9 @@ def build_vocabulary(documents: Iterable[str], case_fold: bool = True) -> Vocabu
     if not frequency:
         raise EmptyCorpusError("empty corpus: no tokens survived tokenization")
     terms = list(frequency)
-    return Vocabulary._from_columns(
-        terms,
-        list(frequency.values()),
-        list(map(doc_counts.__getitem__, terms)),
-        case_fold,
-    )
+    freqs, docs = list(frequency.values()), list(map(doc_counts.__getitem__, terms))
+    del frequency, doc_counts  # the counters go before the vocabulary is built
+    return Vocabulary._from_columns(terms, freqs, docs, case_fold)
 
 
 def load_corpus(directory: str | Path) -> list[str]:

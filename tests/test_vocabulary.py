@@ -30,8 +30,23 @@ _BREAKS = ["\n"] * 8 + ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\
 _FAULTS = [None] * 6 + [
     "duplicate", "capital", "short term", "digit in term", "zero doc_count",
     "frequency below doc_count", "two fields", "four fields", "empty count",
-    "Unicode digit", "space", "tab in term",
+    "Unicode digit", "space", "tab in term", "accented letter",
 ]
+
+
+# Mostly valid rows: terms of two or more letters, frequency >= doc_count >= 1.
+# One draw in four takes a bad term, and one in four bad counts.
+_vocab_terms = st.builds(
+    lambda term, counts: VocabTerm(term, *counts),
+    st.one_of(
+        *[st.text("abAB", min_size=2, max_size=4)] * 3,
+        st.sampled_from(["a", "b1", "", "a b", "ab\ncd", "\u00e9a", "\u0430b"]),
+    ),
+    st.one_of(
+        *[st.tuples(st.integers(1, 3), st.integers(0, 2)).map(lambda d: (sum(d), d[0]))] * 3,
+        st.tuples(st.integers(0, 2), st.integers(0, 3)),
+    ),
+)
 
 
 @st.composite
@@ -78,6 +93,8 @@ def vocabulary_files(draw):
             row[2] = "\u0661"
         elif fault == "space":
             row[0] = row[0][:1] + " " + row[0][1:]
+        elif fault == "accented letter":
+            row[0] = row[0][:1] + "\u00e9" + row[0][1:]
         else:
             row[0] = row[0][:1] + "\t" + row[0][1:]
     flag = "true" if case_fold else "false"
@@ -248,18 +265,10 @@ class TestConstructionValidation:
         Vocabulary([VocabTerm("Ab", 1, 1)], case_fold=False)  # fine when preserved
 
 
-    @given(
-        rows=st.lists(
-            st.builds(
-                VocabTerm,
-                st.one_of(st.text("abAB", min_size=2, max_size=4), st.sampled_from(["a", "b1", "", "a b", "ab\ncd", "\u00e9a", "\u0430b"])),
-                st.integers(0, 4),
-                st.integers(0, 3),
-            ),
-            max_size=20,
-        ),
-        case_fold=st.booleans(),
-    )
+    @given(rows=st.lists(_vocab_terms, max_size=20), case_fold=st.booleans())
+    @example(rows=[VocabTerm("ab", 1, 1), VocabTerm("\u00e9a", 1, 1)], case_fold=True)
+    @example(rows=[VocabTerm("\u0430b", 2, 1)], case_fold=False)
+    @example(rows=[VocabTerm("ab\ncd", 1, 1)], case_fold=True)
     def test_matches_reference(self, rows, case_fold):
         try:
             expected = naive_check_terms(rows, case_fold)
