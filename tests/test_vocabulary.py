@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-import string
 
 import pytest
 from hypothesis import example, given
@@ -15,13 +14,12 @@ from translitnorm import (
     build_vocabulary,
     load_corpus,
     load_vocabulary,
-    save_vocabulary,
     model_config,
     normalize,
+    save_vocabulary,
     tokenize,
+    vocabulary,
 )
-
-from translitnorm import vocabulary
 
 from helpers import MALFORMED_VOCABULARIES, naive_check_terms, naive_load_vocabulary
 
@@ -263,7 +261,6 @@ class TestConstructionValidation:
         with pytest.raises(FormatError):
             Vocabulary([VocabTerm("Ab", 1, 1)], case_fold=True)
         Vocabulary([VocabTerm("Ab", 1, 1)], case_fold=False)  # fine when preserved
-
 
     @given(rows=st.lists(_vocab_terms, max_size=20), case_fold=st.booleans())
     @example(rows=[VocabTerm("ab", 1, 1), VocabTerm("\u00e9a", 1, 1)], case_fold=True)
