@@ -285,7 +285,7 @@ def _batch_bounded(query_codes: np.ndarray, matrix: np.ndarray, bound: int) -> n
 def _bucket_distances(
     vocab: Vocabulary, length: int, probe: str, bound: int
 ) -> list[tuple[VocabTerm, int]]:
-    terms = vocab.bucket_terms(length)
+    terms = vocab.bucket(length)
     if not terms:
         return []
     if probe.isascii():

@@ -141,7 +141,7 @@ def gold_pairs(
 ) -> list[GoldPair]:
     """Seeded (noisy, gold) pairs whose noisy side is genuinely out of vocabulary."""
     rng = random.Random(seed)
-    eligible = [vt.term for vt in vocab.terms() if len(vt.term) >= min_len]
+    eligible = [term for term in vocab.terms() if len(term) >= min_len]
     if not eligible:
         raise ValueError("vocabulary holds no terms long enough to corrupt")
     pairs: list[GoldPair] = []

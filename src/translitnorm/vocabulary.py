@@ -65,8 +65,9 @@ class Vocabulary:
 
     Terms are stored as columns in the canonical order (most frequent
     first, ties alphabetical): terms, frequencies and document counts, a
-    ``term -> row`` dict, and one tuple of terms per length. ``VocabTerm``
-    objects are built on request.
+    ``term -> row`` dict, and one tuple of terms per length. ``terms()`` and
+    ``bucket()`` hand out the stored tuples of term strings; ``lookup()``
+    builds the one ``VocabTerm`` that carries a term's counts.
     """
 
     def __init__(self, terms: Iterable[VocabTerm], case_fold: bool = True) -> None:
@@ -113,7 +114,7 @@ class Vocabulary:
         rows = dict(zip(columns[0], range(size)))
         if len(rows) < size:
             _check_terms(terms, freqs, docs, case_fold)  # words the first duplicate
-        self._terms, self._freqs, self._docs = columns
+        self._terms, self._freqs, self._docs = tuple(columns[0]), columns[1], columns[2]
         buckets: dict[int, list[str]] = {}
         for term in self._terms:
             buckets.setdefault(len(term), []).append(term)
@@ -121,9 +122,6 @@ class Vocabulary:
         self._rows = rows
         self._buckets = {length: tuple(b) for length, b in buckets.items()}
         self._matrices: dict[int, np.ndarray] = {}
-
-    def _entry(self, row: int) -> VocabTerm:
-        return VocabTerm(self._terms[row], self._freqs[row], self._docs[row])
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -151,11 +149,13 @@ class Vocabulary:
 
     def lookup(self, term: str) -> VocabTerm | None:
         row = self._rows.get(self.fold(term))
-        return None if row is None else self._entry(row)
+        if row is None:
+            return None
+        return VocabTerm(self._terms[row], self._freqs[row], self._docs[row])
 
-    def terms(self) -> list[VocabTerm]:
-        """All terms, most frequent first, ties alphabetical; a new list."""
-        return list(map(VocabTerm, self._terms, self._freqs, self._docs))
+    def terms(self) -> tuple[str, ...]:
+        """All terms, most frequent first, ties alphabetical."""
+        return self._terms
 
     def total_frequency(self) -> int:
         """Sum of all term frequencies: the number of tokens counted."""
@@ -164,13 +164,8 @@ class Vocabulary:
     def bucket_lengths(self) -> list[int]:
         return sorted(self._buckets)
 
-    def bucket(self, length: int) -> list[VocabTerm]:
-        """The terms of one length in canonical order; a new list."""
-        rows = self._rows
-        return [self._entry(rows[t]) for t in self._buckets.get(length, ())]
-
-    def bucket_terms(self, length: int) -> tuple[str, ...]:
-        """The term strings of bucket(length), in the same order."""
+    def bucket(self, length: int) -> tuple[str, ...]:
+        """The terms of one length, in the order of terms()."""
         return self._buckets.get(length, ())
 
     def term_matrix(self, length: int) -> np.ndarray:

@@ -109,19 +109,20 @@ def naive_normalize(
         score = _reference_score(prun, 0, length, config.formula)
         return [(probe, 0, float(prun), float(score), length)]
     rows = []
-    for vt in vocab.terms():
-        vocab_len = len(vt.term)
+    for vocab_term in vocab.terms():
+        vocab_len = len(vocab_term)
         if vocab_len <= 1 or query_len <= 1:
             continue
         if config.length_rule is LengthRule.VOCAB_LONGER and vocab_len <= query_len:
             continue
-        ed = levenshtein(probe, vt.term)
+        ed = levenshtein(probe, vocab_term)
         length = _reference_effective_length(vocab_len, query_len, config.length_rule)
         if Fraction(ed) >= length / 2:
             continue
-        prun = _reference_pruning(probe, vt.term, config)
+        prun = _reference_pruning(probe, vocab_term, config)
         score = _reference_score(prun, ed, length, config.formula)
-        rows.append((-score, ed, -vt.frequency, vt.term, prun, length))
+        frequency = vocab.lookup(vocab_term).frequency
+        rows.append((-score, ed, -frequency, vocab_term, prun, length))
     rows.sort(key=lambda row: row[:4])
     return [
         (term_, ed, float(prun), float(-neg), length)
@@ -159,7 +160,7 @@ def random_vocabulary(
 def random_query(rng: random.Random, vocab: Vocabulary) -> str:
     """Either a light corruption of a vocabulary term or a random string."""
     if rng.random() < 0.7:
-        base = rng.choice(vocab.terms()).term
+        base = rng.choice(vocab.terms())
         ops = rng.randint(1, 2)
         word = base
         for _ in range(ops):

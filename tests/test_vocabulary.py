@@ -14,14 +14,17 @@ from translitnorm import (
     build_vocabulary,
     load_corpus,
     load_vocabulary,
-    model_config,
-    normalize,
     save_vocabulary,
     tokenize,
     vocabulary,
 )
 
 from helpers import MALFORMED_VOCABULARIES, naive_check_terms, naive_load_vocabulary
+
+
+def _entries(vocab, terms):
+    """The VocabTerm of each term, in the given order, through lookup()."""
+    return [vocab.lookup(term) for term in terms]
 
 # every line break str.splitlines knows; "\n" is drawn most often
 _BREAKS = ["\n"] * 8 + ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
@@ -156,7 +159,8 @@ class TestBuildVocabulary:
         docs = ["shrii raama raama", "siitaa raama | 5 |", "x yz"]
         vocab = build_vocabulary(docs)
         emitted = sum(len(tokenize(d)) for d in docs)
-        assert sum(vt.frequency for vt in vocab.terms()) == emitted
+        assert sum(vt.frequency for vt in _entries(vocab, vocab.terms())) == emitted
+        assert vocab.total_frequency() == emitted
 
     def test_every_token_is_contained(self):
         docs = ["gaNesha vandana", "shrI gaNesha"]
@@ -192,10 +196,10 @@ class TestLengthIndex:
         vocab = build_vocabulary([" ".join(words)])
         seen = []
         for length in vocab.bucket_lengths():
-            for vt in vocab.bucket(length):
-                assert len(vt.term) == length
-                seen.append(vt.term)
-        assert sorted(seen) == sorted(vt.term for vt in vocab.terms())
+            for term in vocab.bucket(length):
+                assert len(term) == length
+                seen.append(term)
+        assert sorted(seen) == sorted(vocab.terms())
 
     @pytest.mark.parametrize("case_fold", [True, False])
     def test_canonical_order(self, case_fold):
@@ -212,30 +216,27 @@ class TestLengthIndex:
         rng.shuffle(entries)
         vocab = Vocabulary(entries, case_fold=case_fold)
         expected = sorted(entries, key=lambda vt: (-vt.frequency, vt.term))
-        assert vocab.terms() == expected
+        assert _entries(vocab, vocab.terms()) == expected
         assert vocab.bucket_lengths() == sorted({len(w) for w in words})
         for length in vocab.bucket_lengths():
-            assert vocab.bucket(length) == [
+            assert _entries(vocab, vocab.bucket(length)) == [
                 vt for vt in expected if len(vt.term) == length
             ]
-        vocab.terms().clear()
-        assert vocab.terms() == expected
 
-    def test_bucket_hands_out_a_copy(self):
-        vocab = build_vocabulary(["abc abd xyz"])
-        config = model_config("m3")
-        terms, ranked = vocab.terms(), normalize("abx", vocab, config)
-        vocab.bucket(3).clear()
-        assert vocab.bucket(3) == [VocabTerm(t, 1, 1) for t in ("abc", "abd", "xyz")]
-        assert len(vocab) == 3
-        assert vocab.terms() == terms
-        assert normalize("abx", vocab, config) == ranked
+    def test_terms_and_bucket_are_stored_tuples(self):
+        vocab = build_vocabulary(["abc abd xyz xyz"])
+        assert vocab.terms() == ("xyz", "abc", "abd")
+        assert vocab.bucket(3) == ("xyz", "abc", "abd")
+        assert vocab.bucket(4) == ()
+        assert vocab.terms() is vocab.terms()
+        assert vocab.bucket(3) is vocab.bucket(3)
+        assert all(type(term) is str for term in vocab.terms())
 
     def test_term_matrix_mirrors_bucket(self):
         vocab = build_vocabulary(["abc abd xyz"])
         mat = vocab.term_matrix(3)
         decoded = ["".join(map(chr, row)) for row in mat]
-        assert decoded == [vt.term for vt in vocab.bucket(3)]
+        assert decoded == list(vocab.bucket(3))
 
 
 class TestConstructionValidation:
@@ -275,9 +276,11 @@ class TestConstructionValidation:
             assert str(err.value) == str(exc)
             return
         vocab = Vocabulary(rows, case_fold)
-        assert vocab.terms() == expected
+        assert _entries(vocab, vocab.terms()) == expected
         for length in vocab.bucket_lengths():
-            assert vocab.bucket(length) == [vt for vt in expected if len(vt.term) == length]
+            assert _entries(vocab, vocab.bucket(length)) == [
+                vt for vt in expected if len(vt.term) == length
+            ]
 
 
 class TestPersistence:
@@ -329,14 +332,17 @@ class TestPersistence:
         vocab = load_vocabulary(path)
         assert vocab.case_fold is case_fold
         assert len(vocab) == len(expected)
-        assert vocab.terms() == expected
+        assert _entries(vocab, vocab.terms()) == expected
         lengths = sorted({len(vt.term) for vt in expected})
         assert vocab.bucket_lengths() == lengths
         for length in lengths:
-            assert vocab.bucket(length) == [vt for vt in expected if len(vt.term) == length]
+            assert _entries(vocab, vocab.bucket(length)) == [
+                vt for vt in expected if len(vt.term) == length
+            ]
 
     def test_no_vocab_terms_built(self, tmp_path, monkeypatch):
-        # load, build and save work on columns; VocabTerm is made on request
+        # load, build, save, terms() and bucket() work on columns; only
+        # lookup() makes a VocabTerm
         vocab = build_vocabulary(["phule phule gaaNe", "phulen raana"])
         path = tmp_path / "vocab.tsv"
         save_vocabulary(vocab, path)
@@ -348,6 +354,8 @@ class TestPersistence:
         assert load_vocabulary(path) == build_vocabulary(["phule phule gaaNe", "phulen raana"])
         save_vocabulary(load_vocabulary(path), tmp_path / "again.tsv")
         assert vocab.total_frequency() == 5
+        assert vocab.terms() == ("phule", "gaane", "phulen", "raana")
+        assert vocab.bucket(6) == ("phulen",)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
