@@ -258,8 +258,8 @@ def load_vocabulary(source: str | Path) -> Vocabulary:
     """Parse a vocabulary file written by save_vocabulary.
 
     Raises FormatError on a bad header, malformed lines, counts that are
-    not ASCII decimal integers, duplicate terms or terms shorter than 2
-    characters.
+    not ASCII decimal integers or too long for int(), duplicate terms or
+    terms shorter than 2 characters.
     """
     lines = Path(source).read_text(encoding="utf-8").splitlines()
     if not lines:
@@ -274,7 +274,10 @@ def load_vocabulary(source: str | Path) -> Vocabulary:
         # keeps the peak memory of a load near that of the finished vocabulary.
         del lines
         fields = body.split()
-        terms, freqs, docs = fields[::3], list(map(int, fields[1::3])), list(map(int, fields[2::3]))
+        try:
+            terms, freqs, docs = fields[::3], list(map(int, fields[1::3])), list(map(int, fields[2::3]))
+        except ValueError:  # a count longer than int() takes; the loop names its line
+            terms, freqs, docs = _split_rows(body.splitlines())
         del fields
     else:
         terms, freqs, docs = _split_rows(lines[1:])
@@ -292,7 +295,10 @@ def _split_rows(rows: list[str]) -> tuple[list[str], list[int], list[int]]:
         # isdigit() alone admits non-ASCII digits, which int() rejects ("²") or reads ("١٢")
         if not (freq_s.isascii() and docs_s.isascii() and freq_s.isdigit() and docs_s.isdigit()):
             raise FormatError(f"line {lineno}: non-integer count")
+        try:
+            freqs.append(int(freq_s))
+            docs.append(int(docs_s))
+        except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+            raise FormatError(f"line {lineno}: count too large") from None
         terms.append(term)
-        freqs.append(int(freq_s))
-        docs.append(int(docs_s))
     return terms, freqs, docs

@@ -207,6 +207,7 @@ MALFORMED_VOCABULARIES = [
     ),
     ("#translit-norm-vocab v1 case_fold=true\nab\t\u00b2\t1", "line 2: non-integer count"),
     ("#translit-norm-vocab v1 case_fold=true\nab\t\u0661\u0662\t1", "line 2: non-integer count"),
+    (f"#translit-norm-vocab v1 case_fold=true\nab\t{'9' * 5000}\t1", "line 2: count too large"),
 ]
 
 _NAIVE_TERM_RE = re.compile(r"[A-Za-z]{2,}\Z")
@@ -256,5 +257,8 @@ def naive_load_vocabulary(path: str | Path) -> tuple[bool, list[VocabTerm]]:
         term, freq_s, docs_s = parts
         if not all(ch in string.digits for ch in freq_s + docs_s) or not (freq_s and docs_s):
             raise FormatError(f"line {lineno}: non-integer count")
-        rows.append(VocabTerm(term, int(freq_s), int(docs_s)))
+        try:
+            rows.append(VocabTerm(term, int(freq_s), int(docs_s)))
+        except ValueError:  # longer than int() reads
+            raise FormatError(f"line {lineno}: count too large") from None
     return case_fold, naive_check_terms(rows, case_fold)
