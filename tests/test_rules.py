@@ -13,6 +13,8 @@ from translitnorm import (
     FormatError,
     RuleWeights,
     TermTooShortError,
+    VocabTerm,
+    Vocabulary,
     build_vocabulary,
     effective_length,
     last_consonant,
@@ -386,14 +388,61 @@ class TestNormalizeMany:
             yield word[:pos] + letter + word[pos:]
             yield word[:pos] + letter + word[pos + 1 :]
 
+    def _check(self, vocab, probes):
+        """normalize_many equals naive_normalize per config; returns the row count."""
+        rows = 0
+        for probe in probes:
+            got = [candidate_rows(ranked) for ranked in normalize_many(probe, vocab, self.CONFIGS)]
+            want = [naive_normalize(probe, vocab, config) for config in self.CONFIGS]
+            assert got == want, probe
+            rows += sum(map(len, got))
+        return rows
+
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_naive_scan_per_config(self, seed):
         rng = random.Random(100 + seed)
         vocab = random_vocabulary(rng, 120 + seed * 60)
-        for probe in self._probes(rng, vocab):
-            got = normalize_many(probe, vocab, self.CONFIGS)
-            want = [naive_normalize(probe, vocab, config) for config in self.CONFIGS]
-            assert [candidate_rows(ranked) for ranked in got] == want, probe
+        self._check(vocab, self._probes(rng, vocab))
+
+    # Edge cases a replacement scan kernel must keep: machine-word lengths,
+    # probes that Unicode folding lengthens, one-row buckets and vocabularies
+    # that keep case.
+
+    def test_terms_and_probes_around_64_letters(self):
+        rng = random.Random(64)
+        words = {}
+        for length in (63, 64, 65):
+            base = "".join(rng.choice("abcd") for _ in range(length))
+            words[base] = rng.randint(1, 9)
+            for _ in range(2):  # near neighbours, so the bound admits rows
+                pos = rng.randrange(length)
+                words[base[:pos] + rng.choice("ef") + base[pos + 1 :]] = rng.randint(1, 9)
+        vocab = Vocabulary((VocabTerm(w, f, 1) for w, f in words.items()), case_fold=True)
+        probes = []
+        for base in list(words)[::3]:
+            pos = rng.randrange(len(base))
+            probes.append(base[:pos] + "g" + base[pos + 1 :])  # same length
+            probes.append(base[:pos] + base[pos + 1 :])  # one shorter
+            probes.append(base[:pos] + "g" + base[pos:])  # one longer
+        assert {len(p) for p in probes} >= {63, 64, 65}
+        assert self._check(vocab, probes) > 0
+
+    def test_probe_longer_once_folded(self):
+        vocab = build_vocabulary(["iv ivu divu diivu dii istan istaan"])
+        probes = ["İ", "İv", "İvu", "dİvu", "İSTAN", "İi"]
+        assert all(len(p.lower()) == len(p) + 1 for p in probes)
+        assert self._check(vocab, probes) > 0
+
+    def test_one_row_bucket(self):
+        vocab = build_vocabulary(["abcdefgh ab abc abd abe"])
+        assert vocab.bucket(8) == ("abcdefgh",)
+        assert self._check(vocab, ["abcdefgx", "abcdefg", "abcdefghi", "bacdefgh", "abcāefgh"]) > 0
+
+    def test_case_preserving_vocabulary(self):
+        vocab = build_vocabulary(["Raama raama RAAMA siitaa SiiTaa gaNesha ganesha"], case_fold=False)
+        assert not vocab.case_fold
+        probes = ["Raama", "raaMa", "RAAMa", "siItaa", "SIITAA", "GANESHA", "gaNesa", "İa", "GaṆesha"]
+        assert self._check(vocab, probes) > 0
 
     def test_no_configs(self):
         vocab = build_vocabulary(["phule"])
