@@ -207,7 +207,12 @@ MALFORMED_VOCABULARIES = [
     ),
     ("#translit-norm-vocab v1 case_fold=true\nab\t\u00b2\t1", "line 2: non-integer count"),
     ("#translit-norm-vocab v1 case_fold=true\nab\t\u0661\u0662\t1", "line 2: non-integer count"),
+    # more digits than int() reads; the second file fails the one-pass check
     (f"#translit-norm-vocab v1 case_fold=true\nab\t{'9' * 5000}\t1", "line 2: count too large"),
+    (
+        f"#translit-norm-vocab v1 case_fold=true\nab\t1\t1\ncd\t1\t{'9' * 5000}\nef\tx\t1",
+        "line 3: count too large",
+    ),
 ]
 
 _NAIVE_TERM_RE = re.compile(r"[A-Za-z]{2,}\Z")
@@ -257,8 +262,5 @@ def naive_load_vocabulary(path: str | Path) -> tuple[bool, list[VocabTerm]]:
         term, freq_s, docs_s = parts
         if not all(ch in string.digits for ch in freq_s + docs_s) or not (freq_s and docs_s):
             raise FormatError(f"line {lineno}: non-integer count")
-        try:
-            rows.append(VocabTerm(term, int(freq_s), int(docs_s)))
-        except ValueError:  # longer than int() reads
-            raise FormatError(f"line {lineno}: count too large") from None
+        rows.append(VocabTerm(term, int(freq_s), int(docs_s)))
     return case_fold, naive_check_terms(rows, case_fold)
