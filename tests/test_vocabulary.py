@@ -26,6 +26,7 @@ def _entries(vocab, terms):
     """The VocabTerm of each term, in the given order, through lookup()."""
     return [vocab.lookup(term) for term in terms]
 
+
 # every line break str.splitlines knows; "\n" is drawn most often
 _BREAKS = ["\n"] * 8 + ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 _FAULTS = [None] * 6 + [
