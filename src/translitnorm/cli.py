@@ -1,7 +1,8 @@
 """Command line interface: build-vocab, normalize, evaluate, compare.
 
 Machine-readable TSV goes to stdout; diagnostics go to stderr. Exit codes:
-0 success, 1 I/O or format problems, 2 a query term the rules reject,
+0 success, 1 I/O or format problems, 2 a query term the rules reject or a
+usage error (argparse prints usage, e.g. for --top 0 or --model m1 --eq 1),
 3 gold terms missing from the vocabulary.
 """
 

@@ -50,6 +50,9 @@ DEFAULT_POOL = 2600
 CORPUS_SEED = 731
 GOLD_SEED_SMALL = 1109
 GOLD_SEED_LARGE = 2317
+# gold_pairs gives up after this many draws in a row add no pair. Taking all
+# 230 corruptions of a 4-letter term missed at most 1,166 in a row (20 seeds).
+_MAX_MISSES = 100_000
 
 
 def _word(rng: random.Random) -> str:
@@ -139,18 +142,27 @@ def corrupt_term(term: str, rng: random.Random) -> str:
 def gold_pairs(
     vocab: Vocabulary, count: int, seed: int, min_len: int = 4
 ) -> list[GoldPair]:
-    """Seeded (noisy, gold) pairs whose noisy side is genuinely out of vocabulary."""
+    """Seeded (noisy, gold) pairs whose noisy side is genuinely out of vocabulary.
+
+    Raises ValueError when the vocabulary cannot supply ``count`` distinct
+    noisy terms.
+    """
     rng = random.Random(seed)
     eligible = [term for term in vocab.terms() if len(term) >= min_len]
     if not eligible:
         raise ValueError("vocabulary holds no terms long enough to corrupt")
     pairs: list[GoldPair] = []
     seen_noisy: set[str] = set()
+    misses = 0
     while len(pairs) < count:
         gold = rng.choice(eligible)
         noisy = corrupt_term(gold, rng)
         if noisy in vocab or noisy in seen_noisy:
+            misses += 1
+            if misses == _MAX_MISSES:
+                raise ValueError(f"found only {len(pairs)} of {count} distinct noisy terms")
             continue
+        misses = 0
         seen_noisy.add(noisy)
         pairs.append(GoldPair(noisy, gold))
     return pairs

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from translitnorm import (
@@ -18,6 +18,7 @@ from translitnorm import (
     build_vocabulary,
     effective_length,
     last_consonant,
+    levenshtein,
     load_model_config,
     model_config,
     normalize,
@@ -444,6 +445,18 @@ class TestNormalizeMany:
         probes = ["Raama", "raaMa", "RAAMa", "siItaa", "SIITAA", "GANESHA", "gaNesa", "İa", "GaṆesha"]
         assert self._check(vocab, probes) > 0
 
+    def test_small_alphabet_keeps_bands_alive(self):
+        rng = random.Random(24)
+        vocab = random_vocabulary(rng, 300, min_len=24, max_len=24, alphabet="abc")
+        probes = []
+        for edits in (1, 2, 3, 5):
+            word = rng.choice(vocab.terms())
+            for _ in range(edits):
+                pos = rng.randrange(len(word))
+                word = word[:pos] + rng.choice(("", "a", "bc", "d")) + word[pos + 1 :]
+            probes.append(word)
+        assert self._check(vocab, probes) > 0
+
     def test_no_configs(self):
         vocab = build_vocabulary(["phule"])
         assert normalize_many("phul", vocab, []) == []
@@ -466,3 +479,77 @@ class TestBatchDistances:
                 if ed is not None:
                     want.append((vocab.lookup(term), ed))
             assert _bucket_distances(vocab, length, probe, bound) == want
+
+
+_SCAN_ROWS = (0, 1, 3, 63, 64, 65, 129)  # 0: a length with no terms
+
+
+@st.composite
+def _scan_cases(draw, rows, non_ascii):
+    """A vocabulary over 2-4 letters, a bucket length of ``rows`` rows and a probe."""
+    case_fold = draw(st.booleans())
+    alphabet = draw(st.sampled_from(("ab", "abc", "abcd") if case_fold else ("aB", "AbC", "abCD")))
+    if rows <= 3:
+        length = draw(st.integers(2, 70))
+    else:  # short terms keep the large buckets cheap; room for distinct rows
+        shortest = next(n for n in range(2, 13) if len(alphabet) ** n >= 2 * rows)
+        length = draw(st.integers(shortest, 12))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def word(n):
+        return "".join(rng.choice(alphabet) for _ in range(n))
+
+    bucket = set()
+    while len(bucket) < rows:
+        bucket.add(word(length))
+    neighbours = {word(n) for n in (length - 1, length + 1) if n >= 2 for _ in range(3)}
+    vocab = Vocabulary(
+        (VocabTerm(t, rng.randint(1, 9), 1) for t in bucket | neighbours), case_fold=case_fold
+    )
+    # the probe: a row or a random word, then a few edits that may bring in
+    # upper-case letters, a letter outside the alphabet and non-ASCII letters
+    if bucket and draw(st.booleans()):
+        probe = rng.choice(sorted(bucket))
+    else:
+        probe = word(draw(st.integers(1, length + 4)))
+    letters = alphabet + alphabet.swapcase() + "z"
+    for _ in range(draw(st.integers(0, 4))):
+        pos = rng.randrange(len(probe) + 1)
+        op = rng.choice("ids" if len(probe) > 1 else "is")
+        cut = pos + (op != "i")
+        probe = probe[:pos] + ("" if op == "d" else rng.choice(letters)) + probe[cut:]
+    if non_ascii:
+        pos = rng.randrange(len(probe) + 1)
+        probe = probe[:pos] + rng.choice("āİ") + probe[pos:]
+    return vocab, length, probe
+
+
+class TestBucketScan:
+    """_bucket_distances against one full levenshtein per row, on buckets whose
+    row counts sit at machine-word edges and whose small alphabets keep the
+    band alive."""
+
+    @staticmethod
+    def _check(vocab, length, probe, bounds):
+        distances = [(term, levenshtein(probe, term)) for term in vocab.bucket(length)]
+        for bound in bounds:
+            got = [(vt.term, ed) for vt, ed in _bucket_distances(vocab, length, probe, bound)]
+            assert got == [(term, d) for term, d in distances if d <= bound], bound
+
+    @pytest.mark.parametrize("rows", _SCAN_ROWS)
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_ascii_probe_every_bound(self, rows, data):
+        vocab, length, probe = data.draw(_scan_cases(rows, non_ascii=False))
+        assert probe.isascii()
+        self._check(vocab, length, probe, range(length + len(probe) + 1))
+
+    @pytest.mark.parametrize("rows", _SCAN_ROWS)
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_non_ascii_probe(self, rows, data):
+        vocab, length, probe = data.draw(_scan_cases(rows, non_ascii=True))
+        assert not probe.isascii()
+        top = length + len(probe)
+        bounds = {0, 1, abs(length - len(probe)) + 1, top // 2, top}
+        self._check(vocab, length, probe, sorted(bounds))

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import signal
+import string
 from pathlib import Path
 
 import pytest
@@ -45,6 +47,40 @@ class TestGenerators:
         for pair in pairs:
             assert pair.noisy not in vocab
             assert pair.gold in vocab
+
+
+class TestGoldPairsSupply:
+    """A one-term vocabulary has a known, finite set of corruptions."""
+
+    @staticmethod
+    def _corruptions(term):
+        letters = string.ascii_lowercase
+        edits = {term[:i] + c + term[i + 1 :] for i in range(len(term)) for c in letters}
+        edits |= {term[:i] + term[i + 1 :] for i in range(len(term))}
+        edits |= {term[:i] + c + term[i:] for i in range(len(term) + 1) for c in letters}
+        return edits - {term}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_corruption_can_be_drawn(self, seed):
+        vocab = build_vocabulary(["abcd"])
+        want = self._corruptions("abcd")
+        assert len(want) == 230  # 100 substitutions, 4 deletions, 126 insertions
+        pairs = gold_pairs(vocab, 230, seed)
+        assert {p.noisy for p in pairs} == want
+        assert len(pairs) == 230 and {p.gold for p in pairs} == {"abcd"}
+
+    def test_more_than_available_raises(self):
+        def hang(signum, frame):
+            raise TimeoutError("gold_pairs did not return")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(10)
+        try:
+            with pytest.raises(ValueError, match="230 of 231"):
+                gold_pairs(build_vocabulary(["abcd"]), 231, 0)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestBundledData:
