@@ -24,9 +24,12 @@ from .errors import (
 
 
 def _positive_int(value: str) -> int:
-    number = int(value)
+    try:
+        number = int(value)
+    except ValueError:
+        number = 0
     if number < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value!r}")
     return number
 
 

@@ -25,9 +25,7 @@ __all__ = [
     "compare_models",
     "evaluate_model",
     "load_gold_set",
-    "reciprocal_rank",
     "render_report",
-    "success_at_k",
 ]
 
 EVAL_TOP_K = 10
@@ -69,19 +67,6 @@ def _gold_rank(ranked: Sequence[Candidate], gold: str) -> int:
         if candidate.term == gold:
             return position
     return 0
-
-
-def reciprocal_rank(ranked: Sequence[Candidate], gold: str) -> float:
-    """1/position of ``gold`` in the ranking, 0.0 when absent."""
-    rank = _gold_rank(ranked, gold)
-    return 1.0 / rank if rank else 0.0
-
-
-def success_at_k(ranked: Sequence[Candidate], gold: str, k: int) -> int:
-    """1 when ``gold`` appears among the first k entries, else 0."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return int(0 < _gold_rank(ranked, gold) <= k)
 
 
 def _check_gold_terms(pairs: Sequence[GoldPair], vocab: Vocabulary) -> None:

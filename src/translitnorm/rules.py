@@ -35,9 +35,6 @@ __all__ = [
     "model_config",
     "normalize",
     "normalize_many",
-    "proxy_weight",
-    "pruning_weight",
-    "qualifies",
 ]
 
 VOWELS = frozenset("aeiou")
@@ -156,7 +153,7 @@ def effective_length(vocab_len: int, query_len: int, rule: LengthRule) -> Fracti
 
     Both lengths must be at least 2. Under VOCAB_LONGER the value is only
     defined when the vocabulary term is strictly longer; other pairs are
-    disqualified before this is ever needed (see qualifies).
+    disqualified before this is ever needed (see _admission).
     """
     if vocab_len <= 1 or query_len <= 1:
         raise TermTooShortError(
@@ -173,22 +170,16 @@ def effective_length(vocab_len: int, query_len: int, rule: LengthRule) -> Fracti
     return Fraction(vocab_len)
 
 
-def _max_qualifying_ed(vocab_len: int, query_len: int, rule: LengthRule) -> int:
-    # largest integer strictly below effective_length / 2
-    eff = effective_length(vocab_len, query_len, rule)
-    return (eff.numerator - 1) // (2 * eff.denominator)
-
-
-def qualifies(query: str, vocab_term: str, ed: int, config: ModelConfig) -> bool:
-    """Admission test: both terms longer than 1 character, the length rule's
-    own precondition, and edit distance strictly below half the effective
-    length (compared exactly)."""
-    vocab_len, query_len = len(vocab_term), len(query)
+def _admission(vocab_len: int, query_len: int, rule: LengthRule) -> tuple[int, Fraction] | None:
+    """The largest edit distance strictly below half the effective length,
+    and that length; None when no distance is admitted: a term shorter than 2,
+    or under VOCAB_LONGER a vocabulary term that is not strictly longer."""
     if vocab_len <= 1 or query_len <= 1:
-        return False
-    if config.length_rule is LengthRule.VOCAB_LONGER and vocab_len <= query_len:
-        return False
-    return ed <= _max_qualifying_ed(vocab_len, query_len, config.length_rule)
+        return None
+    if rule is LengthRule.VOCAB_LONGER and vocab_len <= query_len:
+        return None
+    eff = effective_length(vocab_len, query_len, rule)
+    return (eff.numerator - 1) // (2 * eff.denominator), eff
 
 
 def _pruning_weight_exact(query: str, vocab_term: str, config: ModelConfig) -> Fraction:
@@ -207,17 +198,6 @@ def _pruning_weight_exact(query: str, vocab_term: str, config: ModelConfig) -> F
     return total
 
 
-def pruning_weight(query: str, vocab_term: str, config: ModelConfig) -> float:
-    """Sum of the active character-rule contributions; 1 when none are active.
-
-    Characters are compared exactly as given: fold both terms beforehand if
-    the vocabulary was built case-folded (normalize does this itself).
-    """
-    if len(query) < 2 or len(vocab_term) < 2:
-        raise TermTooShortError("pruning weight needs both terms of length >= 2")
-    return float(_pruning_weight_exact(query, vocab_term, config))
-
-
 def _proxy_exact(
     prun: Fraction, ed: int, length: Fraction, formula: Formula
 ) -> Fraction:
@@ -226,19 +206,6 @@ def _proxy_exact(
     if formula is Formula.SMOOTHED:
         return prun - Fraction(ed - 1) / length
     return prun - Fraction(ed) / length
-
-
-def proxy_weight(
-    prun_wt: float | Fraction,
-    ed: int,
-    length: int | Fraction,
-    formula: Formula,
-) -> float:
-    """Candidate score: pruning weight minus the length-normalized penalty."""
-    length = Fraction(length)
-    if length <= 0:
-        raise ValueError("length must be positive")
-    return float(_proxy_exact(Fraction(prun_wt), ed, length, formula))
 
 
 @dataclass(frozen=True, slots=True)
@@ -339,14 +306,10 @@ def normalize_many(
     for vocab_len in vocab.bucket_lengths():
         admitted = []  # (rows, config, distance bound, effective length)
         for rows, config in zip(scored, configs):
-            rule = config.length_rule
-            if rule is LengthRule.VOCAB_LONGER and vocab_len <= query_len:
-                continue
-            bound = _max_qualifying_ed(vocab_len, query_len, rule)
+            admission = _admission(vocab_len, query_len, config.length_rule)
             # below the length gap, no edit script can both bridge it and qualify
-            if bound >= abs(vocab_len - query_len):
-                eff = effective_length(vocab_len, query_len, rule)
-                admitted.append((rows, config, bound, eff))
+            if admission is not None and admission[0] >= abs(vocab_len - query_len):
+                admitted.append((rows, config, *admission))
         if not admitted:
             continue
         for vt, ed in _bucket_distances(vocab, vocab_len, probe, max(a[2] for a in admitted)):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import random
+import sys
 from pathlib import Path
 
 from .evaluation import GoldPair
@@ -85,6 +86,8 @@ def corpus_documents(
     seed: int = CORPUS_SEED,
 ) -> list[str]:
     """Document texts covering the whole word pool, with skewed repetition."""
+    if n_docs < 1 or pool_size < 1:
+        raise ValueError(f"need at least 1 document and 1 pool word, got {n_docs} and {pool_size}")
     pool = word_pool(seed, pool_size)
     rng = random.Random(seed + 1)
     weights = [1.0 / (rank + 1) for rank in range(pool_size)]
@@ -170,10 +173,10 @@ def gold_pairs(
 
 def write_dataset(dest: str | Path, n_docs: int = DEFAULT_DOCS, pool_size: int = DEFAULT_POOL) -> None:
     """Write the bundled corpus and the two gold files under ``dest``."""
+    documents = corpus_documents(n_docs, pool_size)
     root = Path(dest)
     corpus_dir = root / "corpus"
     corpus_dir.mkdir(parents=True, exist_ok=True)
-    documents = corpus_documents(n_docs, pool_size)
     for index, text in enumerate(documents):
         (corpus_dir / f"doc_{index:03d}.txt").write_text(text, encoding="utf-8")
     vocab = build_vocabulary(documents, case_fold=True)
@@ -192,7 +195,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--docs", type=int, default=DEFAULT_DOCS)
     parser.add_argument("--pool", type=int, default=DEFAULT_POOL)
     args = parser.parse_args(argv)
-    write_dataset(args.dest, args.docs, args.pool)
+    try:
+        write_dataset(args.dest, args.docs, args.pool)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -23,7 +23,6 @@ from translitnorm import (
     TermTooShortError,
     VocabTerm,
     Vocabulary,
-    last_consonant,
     levenshtein,
 )
 
@@ -67,6 +66,13 @@ def _reference_effective_length(vocab_len: int, query_len: int, rule: LengthRule
     return Fraction(vocab_len)
 
 
+def _reference_last_consonant(term: str) -> str | None:
+    for ch in reversed(term):
+        if ch.lower() not in _VOWELS:
+            return ch
+    return None
+
+
 def _reference_pruning(query: str, vocab_term: str, config: ModelConfig) -> Fraction:
     if not config.char_rules:
         return Fraction(1)
@@ -77,7 +83,7 @@ def _reference_pruning(query: str, vocab_term: str, config: ModelConfig) -> Frac
     if CharRule.SECOND_CHAR in config.char_rules:
         total += Fraction(w.wt2) if query[1] == vocab_term[1] else Fraction(w.wt3)
     if CharRule.LAST_CONSONANT in config.char_rules:
-        cq, cv = last_consonant(query), last_consonant(vocab_term)
+        cq, cv = _reference_last_consonant(query), _reference_last_consonant(vocab_term)
         total += Fraction(w.wt4) if cq is not None and cq == cv else Fraction(w.wt5)
     return total
 
@@ -99,35 +105,52 @@ def naive_normalize(
     effective_length) rows in ranked order, for comparison against the
     production path.
     """
+    return naive_normalize_many(term, vocab, [config], top_k)[0]
+
+
+def naive_normalize_many(
+    term: str, vocab: Vocabulary, configs: list[ModelConfig], top_k: int = 10
+) -> list[list[tuple[str, int, float, float, Fraction]]]:
+    """naive_normalize once per config, with each distance computed once."""
     probe = vocab.fold(term)
     if len(probe) < 2:
         raise TermTooShortError(term)
     query_len = len(probe)
     if probe in vocab:
-        prun = _reference_pruning(probe, probe, config)
         length = Fraction(query_len)
-        score = _reference_score(prun, 0, length, config.formula)
-        return [(probe, 0, float(prun), float(score), length)]
-    rows = []
-    for vocab_term in vocab.terms():
-        vocab_len = len(vocab_term)
-        if vocab_len <= 1 or query_len <= 1:
-            continue
-        if config.length_rule is LengthRule.VOCAB_LONGER and vocab_len <= query_len:
-            continue
-        ed = levenshtein(probe, vocab_term)
-        length = _reference_effective_length(vocab_len, query_len, config.length_rule)
-        if Fraction(ed) >= length / 2:
-            continue
-        prun = _reference_pruning(probe, vocab_term, config)
-        score = _reference_score(prun, ed, length, config.formula)
-        frequency = vocab.lookup(vocab_term).frequency
-        rows.append((-score, ed, -frequency, vocab_term, prun, length))
-    rows.sort(key=lambda row: row[:4])
-    return [
-        (term_, ed, float(prun), float(-neg), length)
-        for neg, ed, _, term_, prun, length in rows[:top_k]
-    ]
+        exact = []
+        for config in configs:
+            prun = _reference_pruning(probe, probe, config)
+            score = _reference_score(prun, 0, length, config.formula)
+            exact.append([(probe, 0, float(prun), float(score), length)])
+        return exact
+    distances = [(vocab_term, levenshtein(probe, vocab_term)) for vocab_term in vocab.terms()]
+    ranked = []
+    for config in configs:
+        rule = config.length_rule
+        lengths: dict[int, Fraction] = {}  # vocabulary term length -> effective length
+        rows = []
+        for vocab_term, ed in distances:
+            vocab_len = len(vocab_term)
+            if vocab_len <= 1 or query_len <= 1:
+                continue
+            if rule is LengthRule.VOCAB_LONGER and vocab_len <= query_len:
+                continue
+            if vocab_len not in lengths:
+                lengths[vocab_len] = _reference_effective_length(vocab_len, query_len, rule)
+            length = lengths[vocab_len]
+            if 2 * ed >= length:
+                continue
+            prun = _reference_pruning(probe, vocab_term, config)
+            score = _reference_score(prun, ed, length, config.formula)
+            frequency = vocab.lookup(vocab_term).frequency
+            rows.append((-score, ed, -frequency, vocab_term, prun, length))
+        rows.sort(key=lambda row: row[:4])
+        ranked.append([
+            (term_, ed, float(prun), float(-neg), length)
+            for neg, ed, _, term_, prun, length in rows[:top_k]
+        ])
+    return ranked
 
 
 def candidate_rows(candidates) -> list[tuple[str, int, float, float, Fraction]]:

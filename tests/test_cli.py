@@ -120,6 +120,14 @@ class TestNormalizeCommand:
             main(["normalize", "--vocab", str(vocab_file), "--term", "ab", "--model", "m1", "--eq", "2"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("top", ["abc", "0"])
+    def test_top_must_be_a_positive_integer(self, vocab_file, capsys, top):
+        with pytest.raises(SystemExit) as err:
+            main(["normalize", "--vocab", str(vocab_file), "--term", "ab", "--top", top])
+        assert err.value.code == 2
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert message.endswith(f"error: argument --top: must be an integer >= 1, got '{top}'")
+
     def test_unknown_flag_rejected(self, vocab_file):
         with pytest.raises(SystemExit) as err:
             main(["normalize", "--vocab", str(vocab_file), "--term", "ab", "--frobnicate"])

@@ -17,10 +17,9 @@ from translitnorm import (
     load_corpus,
     load_gold_set,
     model_config,
-    reciprocal_rank,
     render_report,
-    success_at_k,
 )
+from translitnorm.evaluation import _gold_rank
 from translitnorm.synthetic import gold_pairs
 
 from helpers import random_vocabulary
@@ -40,30 +39,25 @@ def _ranked(*terms: str) -> list[Candidate]:
 
 
 class TestRankMeasures:
+    """_gold_rank: the 1-based position behind both measures, 0 when absent."""
+
     def test_reciprocal_rank_positions(self):
         ranked = _ranked("ek", "don", "tin")
-        assert reciprocal_rank(ranked, "ek") == 1.0
-        assert reciprocal_rank(ranked, "don") == 0.5
-        assert reciprocal_rank(ranked, "tin") == pytest.approx(1 / 3)
-        assert reciprocal_rank(ranked, "chaar") == 0.0
-        assert reciprocal_rank([], "ek") == 0.0
+        assert [_gold_rank(ranked, gold) for gold in ("ek", "don", "tin", "chaar")] == [1, 2, 3, 0]
+        assert _gold_rank([], "ek") == 0
 
     def test_success_at_k(self):
         ranked = _ranked("aa", "bb", "cc", "dd", "ee", "ff", "gg")
-        assert success_at_k(ranked, "aa", 1) == 1
-        assert success_at_k(ranked, "gg", 5) == 0
-        assert success_at_k(ranked, "gg", 10) == 1
-        assert success_at_k(ranked, "zz", 10) == 0
-
-    def test_success_requires_positive_k(self):
-        with pytest.raises(ValueError):
-            success_at_k(_ranked("aa"), "aa", 0)
+        assert _gold_rank(ranked, "aa") == 1
+        assert 5 < _gold_rank(ranked, "gg") <= 10
+        assert _gold_rank(ranked, "zz") == 0
 
     def test_rank_measures_agree(self):
         ranked = _ranked("aa", "bb", "cc")
         for gold in ("aa", "bb", "cc", "zz"):
-            found = reciprocal_rank(ranked, gold) > 0
-            assert found == bool(success_at_k(ranked, gold, len(ranked)))
+            rank = _gold_rank(ranked, gold)
+            assert 0 <= rank <= len(ranked)
+            assert (rank > 0) == (gold != "zz")
 
 
 class TestEvaluateModel:

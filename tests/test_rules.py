@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,22 +21,23 @@ from translitnorm import (
     effective_length,
     last_consonant,
     levenshtein,
+    load_corpus,
+    load_gold_set,
     load_model_config,
     model_config,
     normalize,
     normalize_many,
-    proxy_weight,
-    pruning_weight,
-    qualifies,
 )
-from translitnorm.rules import _bucket_distances, _max_qualifying_ed
+from translitnorm.rules import _admission, _bucket_distances, _proxy_exact, _pruning_weight_exact
 
-from helpers import candidate_rows, naive_normalize, random_vocabulary
+from helpers import candidate_rows, naive_normalize, naive_normalize_many, random_vocabulary
 
 M1 = model_config("m1")
 M2 = model_config("m2")
 M3 = model_config("m3")
 M4 = model_config("m4")
+
+DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
 
 class TestEffectiveLength:
@@ -59,43 +62,50 @@ class TestEffectiveLength:
             effective_length(l1, l2, LengthRule.LONGEST)
 
 
-class TestQualifies:
+class TestAdmission:
+    """_admission(vocab_len, query_len, rule) -> (largest admitted distance,
+    effective length), or None when no distance is admitted."""
+
     def test_too_far(self):
-        assert not qualifies("phulen", "fulaat", 4, M1)  # threshold is 3
+        # phulen against fulaat, distance 4: the longest length 6 gives threshold 3
+        assert _admission(6, 6, LengthRule.LONGEST) == (2, 6)
 
     def test_close_enough(self):
-        assert qualifies("phule", "phulen", 1, M1)
+        # phule against phulen, distance 1
+        assert _admission(6, 5, LengthRule.LONGEST) == (2, 6)
 
     def test_vocab_longer_requires_strictly_longer(self):
-        assert not qualifies("phulen", "phule", 1, M4)
-        assert not qualifies("phule", "phule", 0, M4)
-        assert qualifies("phule", "phulen", 1, M4)
+        assert _admission(5, 6, LengthRule.VOCAB_LONGER) is None
+        assert _admission(5, 5, LengthRule.VOCAB_LONGER) is None
+        assert _admission(6, 5, LengthRule.VOCAB_LONGER) == (2, 6)
 
     def test_single_letter_terms_never_qualify(self):
-        assert not qualifies("a", "phule", 0, M1)
-        assert not qualifies("phule", "b", 0, M1)
+        assert _admission(5, 1, LengthRule.LONGEST) is None
+        assert _admission(1, 5, LengthRule.LONGEST) is None
 
     def test_threshold_is_strict(self):
         # longest length 6 gives threshold 3: distance 3 is out, 2 is in
-        assert not qualifies("abcdef", "uvwdef", 3, M1)
-        assert qualifies("abcdef", "uvcdef", 2, M1)
+        assert _admission(6, 6, LengthRule.LONGEST)[0] == 2
+        # longest length 7 gives threshold 3.5: distance 3 is in
+        assert _admission(7, 7, LengthRule.LONGEST)[0] == 3
 
     def test_average_threshold_uses_exact_rationals(self):
         # lengths 6 and 5: effective length 11/2, threshold 11/4 = 2.75
-        assert qualifies("abcde", "abcdef", 2, M2)
-        assert not qualifies("abcde", "vwxyzf", 3, M2)
+        assert _admission(6, 5, LengthRule.AVERAGE) == (2, Fraction(11, 2))
+        assert _admission(5, 6, LengthRule.AVERAGE) == (2, Fraction(11, 2))
 
-    @given(
-        st.integers(min_value=2, max_value=20),
-        st.integers(min_value=2, max_value=20),
-        st.sampled_from([LengthRule.LONGEST, LengthRule.AVERAGE, LengthRule.VOCAB_LONGER]),
-    )
-    def test_max_qualifying_ed_matches_fraction_threshold(self, l1, l2, rule):
-        if rule is LengthRule.VOCAB_LONGER and l1 <= l2:
-            return
-        limit = _max_qualifying_ed(l1, l2, rule)
-        half = effective_length(l1, l2, rule) / 2
-        assert Fraction(limit) < half <= Fraction(limit + 1)
+    @pytest.mark.parametrize("rule", list(LengthRule))
+    def test_every_length_pair(self, rule):
+        for vocab_len, query_len in itertools.product(range(21), repeat=2):
+            admission = _admission(vocab_len, query_len, rule)
+            never = min(vocab_len, query_len) < 2 or (
+                rule is LengthRule.VOCAB_LONGER and vocab_len <= query_len
+            )
+            assert (admission is None) == never, (vocab_len, query_len)
+            if admission is not None:
+                bound, eff = admission
+                assert eff == effective_length(vocab_len, query_len, rule)
+                assert Fraction(bound) < eff / 2 <= Fraction(bound + 1)
 
 
 class TestLastConsonant:
@@ -111,27 +121,28 @@ class TestLastConsonant:
 
 
 class TestPruningWeight:
+    # the float weights summed exactly: 0.6 is Fraction(0.6), not 3/5
+
     def test_m3_example(self):
-        assert pruning_weight("phule", "phulen", M3) == pytest.approx(1.25)
+        got = _pruning_weight_exact("phule", "phulen", M3)
+        assert got == Fraction(0.6) + Fraction(0.4) + Fraction(0.25)
 
     def test_m2_example(self):
-        assert pruning_weight("gaane", "kaane", M2) == pytest.approx(0.80)
+        assert _pruning_weight_exact("gaane", "kaane", M2) == Fraction(0.4) + Fraction(0.4)
 
     def test_m1_is_one(self):
-        assert pruning_weight("anything", "whatever", M1) == 1.0
+        assert _pruning_weight_exact("anything", "whatever", M1) == 1
 
     def test_absent_consonants_count_as_mismatch(self):
         # both terms all-vowel: no last consonant on either side
-        assert pruning_weight("aaee", "aeae", M3) == pytest.approx(0.6 + 0.2 + 0.25)
-
-    def test_short_terms_rejected(self):
-        with pytest.raises(TermTooShortError):
-            pruning_weight("a", "phule", M3)
+        got = _pruning_weight_exact("aaee", "aeae", M3)
+        assert got == Fraction(0.6) + Fraction(0.2) + Fraction(0.25)
 
     def test_custom_weights(self):
         weights = RuleWeights(wt1=1.0, wt2=0.5, wt3=0.0, wt4=0.9, wt5=0.1)
         config = model_config("m3", weights=weights)
-        assert pruning_weight("phule", "phulen", config) == pytest.approx(1.0 + 0.5 + 0.1)
+        got = _pruning_weight_exact("phule", "phulen", config)
+        assert got == Fraction(1.0) + Fraction(0.5) + Fraction(0.1)
 
     def test_weights_validated(self):
         with pytest.raises(ValueError):
@@ -142,23 +153,19 @@ class TestPruningWeight:
 
 class TestProxyWeight:
     def test_unweighted(self):
-        assert proxy_weight(1, 1, 6, Formula.UNWEIGHTED) == pytest.approx(5 / 6)
+        assert _proxy_exact(Fraction(1), 1, Fraction(6), Formula.UNWEIGHTED) == Fraction(5, 6)
 
     def test_weighted_with_average_length(self):
-        got = proxy_weight(1.25, 1, Fraction(11, 2), Formula.WEIGHTED)
-        assert got == pytest.approx(1.25 - 2 / 11)
+        got = _proxy_exact(Fraction(5, 4), 1, Fraction(11, 2), Formula.WEIGHTED)
+        assert got == Fraction(5, 4) - Fraction(2, 11)
 
     def test_zero_distance_subtracts_nothing(self):
-        for w in (0.3, 0.8, 1.75):
-            assert proxy_weight(w, 0, 9, Formula.WEIGHTED) == pytest.approx(w)
+        for w in (Fraction(3, 10), Fraction(4, 5), Fraction(7, 4)):
+            assert _proxy_exact(w, 0, Fraction(9), Formula.WEIGHTED) == w
 
     def test_smoothed_shifts_distance_by_one(self):
-        for w in (0.3, 0.8, 1.75):
-            assert proxy_weight(w, 1, 7, Formula.SMOOTHED) == pytest.approx(w)
-
-    def test_positive_length_required(self):
-        with pytest.raises(ValueError):
-            proxy_weight(1.0, 1, 0, Formula.WEIGHTED)
+        for w in (Fraction(3, 10), Fraction(4, 5), Fraction(7, 4)):
+            assert _proxy_exact(w, 1, Fraction(7), Formula.SMOOTHED) == w
 
     @given(
         st.integers(min_value=0, max_value=6),
@@ -167,8 +174,8 @@ class TestProxyWeight:
         st.sampled_from(list(Formula)),
     )
     def test_strictly_decreasing_in_distance(self, ed, step, length, formula):
-        near = proxy_weight(1.0, ed, length, formula)
-        far = proxy_weight(1.0, ed + step, length, formula)
+        near = _proxy_exact(Fraction(1), ed, Fraction(length), formula)
+        far = _proxy_exact(Fraction(1), ed + step, Fraction(length), formula)
         assert near > far
 
 
@@ -341,7 +348,9 @@ class TestNormalize:
             term = "".join(rng.choice("abcdefgh") for _ in range(rng.randint(2, 9)))
             for config in (M1, M2, M3, M4):
                 for cand in normalize(term, vocab, config):
-                    assert qualifies(vocab.fold(term), cand.term, cand.edit_distance, config)
+                    bound, eff = _admission(len(cand.term), len(term), config.length_rule)
+                    assert cand.edit_distance <= bound
+                    assert cand.effective_length == eff
                     assert Fraction(cand.edit_distance) < cand.effective_length / 2
 
     def test_non_ascii_query_matches_reference(self):
@@ -363,6 +372,24 @@ class TestScanAgainstReference:
             got = candidate_rows(normalize(term, vocab, config))
             want = naive_normalize(term, vocab, config)
             assert got == want
+
+
+class TestBundledVocabulary:
+    """The bundled corpus holds every vowel, where random vocabularies draw
+    from a-j only, so the last-consonant rule meets o and u here."""
+
+    CONFIGS = [M2, M3, M4, *(model_config(m, formula=2) for m in ("m2", "m3", "m4"))]
+
+    @pytest.fixture(scope="class")
+    def vocab(self):
+        return build_vocabulary(load_corpus(DATA_DIR / "corpus"))
+
+    @pytest.mark.parametrize("gold", ["gold_small.tsv", "gold_large.tsv"])
+    def test_matches_naive_scan(self, vocab, gold):
+        for pair in load_gold_set(DATA_DIR / gold):
+            got = normalize_many(pair.noisy, vocab, self.CONFIGS)
+            want = naive_normalize_many(pair.noisy, vocab, self.CONFIGS)
+            assert [candidate_rows(ranked) for ranked in got] == want, pair.noisy
 
 
 class TestNormalizeMany:
@@ -394,7 +421,7 @@ class TestNormalizeMany:
         rows = 0
         for probe in probes:
             got = [candidate_rows(ranked) for ranked in normalize_many(probe, vocab, self.CONFIGS)]
-            want = [naive_normalize(probe, vocab, config) for config in self.CONFIGS]
+            want = naive_normalize_many(probe, vocab, self.CONFIGS)
             assert got == want, probe
             rows += sum(map(len, got))
         return rows

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import os
 import random
 import signal
 import string
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,7 @@ from translitnorm.synthetic import (
 )
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestGenerators:
@@ -104,3 +108,25 @@ class TestBundledData:
         files = [f"corpus/{name}" for name in names]
         for rel in files + ["gold_small.tsv", "gold_large.tsv"]:
             assert (tmp_path / rel).read_bytes() == (DATA_DIR / rel).read_bytes(), rel
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize(
+        ("args", "dest_is_file"),
+        [(["--docs", "0"], False), (["--pool", "0"], False), (["--docs", "-1"], False), ([], True)],
+        ids=["no-docs", "no-pool", "negative-docs", "dest-is-a-file"],
+    )
+    def test_bad_input_is_one_error_line(self, tmp_path, args, dest_is_file):
+        dest = tmp_path / "out"
+        if dest_is_file:
+            dest.write_text("")
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "translitnorm.synthetic", "--dest", str(dest), *args],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr
+        assert dest.is_file() if dest_is_file else not dest.exists()  # nothing written
