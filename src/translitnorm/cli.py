@@ -23,14 +23,18 @@ from .errors import (
 )
 
 
-def _positive_int(value: str) -> int:
-    try:
-        number = int(value)
-    except ValueError:
-        number = 0
-    if number < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value!r}")
-    return number
+def ascii_int(minimum: int):
+    """An argparse type for an integer >= minimum, written in ASCII digits.
+
+    int() alone also reads other scripts' digits ("٣" is 3) and "1_0".
+    """
+
+    def integer(value: str) -> int:
+        if not (value.isascii() and value.isdigit()) or int(value) < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {value!r}")
+        return int(value)
+
+    return integer
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,15 +53,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--term", required=True)
     p.add_argument("--model", choices=list(rules.MODEL_IDS), help="default m3")
-    p.add_argument("--top", type=_positive_int, default=10)
-    p.add_argument("--eq", type=int, choices=[1, 2], help="scoring formula override")
+    p.add_argument("--top", type=ascii_int(1), default=10)
+    p.add_argument("--eq", type=ascii_int(1), choices=[1, 2], help="scoring formula override")
     p.add_argument("--config", help="key=value file overriding model, eq or weights")
 
     p = sub.add_parser("evaluate", help="score one model against a gold set")
     p.add_argument("--vocab", required=True)
     p.add_argument("--gold", required=True)
     p.add_argument("--model", choices=list(rules.MODEL_IDS), help="default m3")
-    p.add_argument("--eq", type=int, choices=[1, 2])
+    p.add_argument("--eq", type=ascii_int(1), choices=[1, 2])
     p.add_argument("--config")
     p.add_argument("--out", required=True)
 

@@ -15,8 +15,6 @@ from enum import Enum, IntEnum
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from .distance import levenshtein_bounded
 from .errors import FormatError, TermTooShortError
 from .vocabulary import Vocabulary, VocabTerm
@@ -219,22 +217,26 @@ class Candidate:
     proxy_weight: float
 
 
-def _batch_bounded(query_codes: np.ndarray, matrix: np.ndarray, bound: int) -> np.ndarray:
-    """Bounded distances from the query to every row of a code matrix.
+def _batch_bounded(probe: str, matrix, bound: int) -> list[tuple[int, int]]:
+    """(row, distance) for each row of a code matrix within ``bound`` of an ASCII probe.
 
     Same recurrence as levenshtein_bounded, evaluated for a whole
     same-length bucket at once; values above ``bound`` are clamped to
     bound + 1 (the clamp can never drag a true value below the bound).
     The insertion cascade along a row is resolved with a running minimum.
     """
+    # Imported here, not with the package: numpy is ~100 ms of a ~250 ms CLI
+    # process, and commands that scan no ASCII bucket never need it.
+    import numpy as np
+
     n, rows = matrix.shape
-    width = query_codes.shape[0] + 1
+    width = len(probe) + 1
     cap = bound + 1
     offsets = np.arange(width, dtype=np.int32)
     prev = np.minimum(offsets, cap)
     prev = np.repeat(prev[np.newaxis, :], n, axis=0)
     cur = np.empty_like(prev)
-    query_row = query_codes[np.newaxis, :]
+    query_row = np.frombuffer(probe.encode("ascii"), dtype=np.uint8)[np.newaxis, :]
     for i in range(1, rows + 1):
         cost = matrix[:, i - 1 : i] != query_row
         cur[:, 0] = min(i, cap)
@@ -245,8 +247,10 @@ def _batch_bounded(query_codes: np.ndarray, matrix: np.ndarray, bound: int) -> n
         np.minimum(cur, cap, out=cur)
         prev, cur = cur, prev
         if prev.min() > bound:
-            return np.full(n, cap, dtype=np.int32)
-    return prev[:, -1]
+            return []
+    eds = prev[:, -1]
+    hits = np.flatnonzero(eds <= bound)
+    return list(zip(hits.tolist(), eds[hits].tolist()))
 
 
 def _bucket_distances(
@@ -256,10 +260,8 @@ def _bucket_distances(
     if not terms:
         return []
     if probe.isascii():
-        codes = np.frombuffer(probe.encode("ascii"), dtype=np.uint8)
-        eds = _batch_bounded(codes, vocab.term_matrix(length), bound)
-        hits = np.flatnonzero(eds <= bound)
-        return [(vocab.lookup(terms[i]), int(eds[i])) for i in hits]
+        hits = _batch_bounded(probe, vocab.term_matrix(length), bound)
+        return [(vocab.lookup(terms[i]), ed) for i, ed in hits]
     pairs = []
     for term in terms:
         ed = levenshtein_bounded(probe, term, bound)

@@ -17,6 +17,7 @@ import random
 import sys
 from pathlib import Path
 
+from .cli import ascii_int
 from .evaluation import GoldPair
 from .vocabulary import Vocabulary, build_vocabulary
 
@@ -192,8 +193,8 @@ def write_dataset(dest: str | Path, n_docs: int = DEFAULT_DOCS, pool_size: int =
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="regenerate the bundled data set")
     parser.add_argument("--dest", default="data")
-    parser.add_argument("--docs", type=int, default=DEFAULT_DOCS)
-    parser.add_argument("--pool", type=int, default=DEFAULT_POOL)
+    parser.add_argument("--docs", type=ascii_int(0), default=DEFAULT_DOCS)
+    parser.add_argument("--pool", type=ascii_int(0), default=DEFAULT_POOL)
     args = parser.parse_args(argv)
     try:
         write_dataset(args.dest, args.docs, args.pool)

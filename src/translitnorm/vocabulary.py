@@ -15,8 +15,6 @@ from itertools import compress
 from operator import attrgetter, eq, ge, lt
 from pathlib import Path
 
-import numpy as np
-
 from .errors import EmptyCorpusError, FormatError
 
 __all__ = [
@@ -121,7 +119,7 @@ class Vocabulary:
         self.case_fold = case_fold
         self._rows = rows
         self._buckets = {length: tuple(b) for length, b in buckets.items()}
-        self._matrices: dict[int, np.ndarray] = {}
+        self._matrices = {}  # length -> term_matrix(length)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -168,14 +166,15 @@ class Vocabulary:
         """The terms of one length, in the order of terms()."""
         return self._buckets.get(length, ())
 
-    def term_matrix(self, length: int) -> np.ndarray:
-        """uint8 code matrix of the bucket, one row per term, cached.
+    def term_matrix(self, length: int):
+        """numpy uint8 code matrix of the bucket, one row per term, cached.
 
         Rows follow bucket() order. Terms are ASCII by construction, so one
         byte per character is exact.
         """
         mat = self._matrices.get(length)
         if mat is None:
+            import numpy as np  # loaded on first use; see rules._batch_bounded
             terms = self._buckets.get(length, ())
             data = "".join(terms).encode("ascii")
             mat = np.frombuffer(data, dtype=np.uint8).reshape(len(terms), length)

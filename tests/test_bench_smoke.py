@@ -18,10 +18,22 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_workload_runs_clean(workload):
+RUNS = [pytest.param(workload, 1, id=workload) for workload in WORKLOADS] + [
+    pytest.param(
+        "cli-normalize-10k", 23, id="cli-normalize-10k-seed23",
+        marks=pytest.mark.xfail(
+            strict=True,
+            reason="bench/run.py: the self-test's corrupt() indexes lines[1], and seed 23's "
+            "first probe has one candidate, so the run exits 1 with IndexError",
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(("workload", "seed"), RUNS)
+def test_workload_runs_clean(workload, seed):
     done = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1", "--seconds", "0.5"],
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", "0.5"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr

@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from translitnorm.cli import main
@@ -128,6 +134,28 @@ class TestNormalizeCommand:
         message = capsys.readouterr().err.splitlines()[-1]
         assert message.endswith(f"error: argument --top: must be an integer >= 1, got '{top}'")
 
+    # int() reads "٣" as 3 and "1_0" as 10; "²" is a digit to isdigit() alone
+    @pytest.mark.parametrize("value", ["٣", "²", "1_0"])
+    @pytest.mark.parametrize(
+        ("command", "option"),
+        [("normalize", "--top"), ("normalize", "--eq"), ("evaluate", "--eq")],
+        ids=["normalize-top", "normalize-eq", "evaluate-eq"],
+    )
+    def test_integer_options_take_ascii_digits_only(
+        self, vocab_file, tmp_path, capsys, command, option, value
+    ):
+        out = tmp_path / "report.tsv"
+        rest = ["--term", "raav"] if command == "normalize" else ["--gold", "gold.tsv", "--out", str(out)]
+        with pytest.raises(SystemExit) as err:
+            main([command, "--vocab", str(vocab_file), *rest, option, value])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith(
+            f"error: argument {option}: must be an integer >= 1, got '{value}'"
+        )
+        assert not out.exists()
+
     def test_unknown_flag_rejected(self, vocab_file):
         with pytest.raises(SystemExit) as err:
             main(["normalize", "--vocab", str(vocab_file), "--term", "ab", "--frobnicate"])
@@ -209,3 +237,46 @@ class TestEvaluateAndCompare:
         gold.write_text("# nothing here\n")
         out = tmp_path / "report.tsv"
         assert main(["evaluate", "--vocab", str(vocab_file), "--gold", str(gold), "--out", str(out)]) == 1
+
+
+# Runs CLI commands in one fresh interpreter; after the import and after each
+# command it records [exit code, stdout lines, whether numpy is loaded].
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import translitnorm, translitnorm.cli, translitnorm.synthetic
+
+steps = [[None, 0, "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = translitnorm.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    steps.append([code, len(out.getvalue().splitlines()), "numpy" in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+def test_numpy_loads_only_for_an_ascii_bucket_scan(tmp_path, corpus_dir):
+    vocab = str(tmp_path / "vocab.tsv")
+    commands = [
+        ["build-vocab", "--corpus", str(corpus_dir), "--out", vocab],
+        ["normalize", "--vocab", vocab, "--term", "phule"],  # in the vocabulary
+        ["normalize", "--vocab", vocab, "--term", "phulā"],  # scanned in pure Python
+        ["normalize", "--vocab", vocab, "--term", "phule", "--top", "0"],  # usage error
+        ["normalize", "--vocab", vocab, "--term", "phulx"],  # scanned with numpy
+    ]
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(commands)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60, check=True,
+    )
+    imported, built, exact, diacritic, usage, ascii_scan = json.loads(done.stdout)
+    assert imported == [None, 0, False]
+    assert built == [0, 2, False]
+    assert exact == [0, 1, False]
+    assert diacritic[0] == 0 and diacritic[1] >= 1 and diacritic[2] is False
+    assert usage == [2, 0, False]
+    assert ascii_scan[0] == 0 and ascii_scan[1] >= 1 and ascii_scan[2] is True

@@ -15,6 +15,7 @@ from translitnorm.synthetic import (
     corpus_documents,
     corrupt_term,
     gold_pairs,
+    main,
     word_pool,
     write_dataset,
 )
@@ -113,8 +114,8 @@ class TestBundledData:
 class TestCommandLine:
     @pytest.mark.parametrize(
         ("args", "dest_is_file"),
-        [(["--docs", "0"], False), (["--pool", "0"], False), (["--docs", "-1"], False), ([], True)],
-        ids=["no-docs", "no-pool", "negative-docs", "dest-is-a-file"],
+        [(["--docs", "0"], False), (["--pool", "0"], False), ([], True)],
+        ids=["no-docs", "no-pool", "dest-is-a-file"],
     )
     def test_bad_input_is_one_error_line(self, tmp_path, args, dest_is_file):
         dest = tmp_path / "out"
@@ -130,3 +131,14 @@ class TestCommandLine:
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
         assert "Traceback" not in done.stderr
         assert dest.is_file() if dest_is_file else not dest.exists()  # nothing written
+
+    @pytest.mark.parametrize("value", ["٣", "²", "-1"])
+    @pytest.mark.parametrize("option", ["--docs", "--pool"])
+    def test_counts_are_ascii_digits(self, tmp_path, capsys, option, value):
+        dest = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            main(["--dest", str(dest), option, value])
+        assert err.value.code == 2
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert message.endswith(f"error: argument {option}: must be an integer >= 0, got '{value}'")
+        assert not dest.exists()
