@@ -8,11 +8,11 @@ admit instead of walking the whole term set.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import compress
-from operator import attrgetter, eq, ge, lt
+from operator import attrgetter, ge, lt, neg
 from pathlib import Path
 
 from .errors import EmptyCorpusError, FormatError
@@ -31,9 +31,9 @@ _TOKEN_RE = re.compile(r"[A-Za-z]{2,}")
 _TERM_RE = re.compile(r"[A-Za-z]{2,}\Z")
 _HEADER_RE = re.compile(r"#translit-norm-vocab v1 case_fold=(true|false)\Z")
 # A whole vocabulary file body, one row per line; the case of terms is left
-# to the vocabulary's own checks. The possessive repeat keeps no backtracking
-# state per row: a greedy one holds about 13 MB for 50k rows.
-_BODY_RE = re.compile(r"(?:[A-Za-z]{2,}\t[0-9]+\t[0-9]+\n)*+")
+# to the vocabulary's own checks. The possessive repeats keep no backtracking
+# state: a greedy outer one holds about 13 MB for 50k rows.
+_BODY_RE = re.compile(r"(?:[A-Za-z]{2,}+\t[0-9]++\t[0-9]++\n)*+")
 
 
 def tokenize(text: str, case_fold: bool = True) -> list[str]:
@@ -97,12 +97,13 @@ class Vocabulary:
         if not (
             letters.isascii()
             and letters.isalpha()
-            and (not case_fold or letters.islower())
-            and min(map(len, terms), default=2) >= 2
+            # ASCII letters: one lower() pass, no per-character case lookups
+            and (not case_fold or letters == letters.lower())
             and min(docs, default=1) >= 1
             and all(map(ge, freqs, docs))
         ):
             _check_terms(terms, freqs, docs, case_fold)
+        del letters  # as large as the terms: not kept through the build
         columns = terms, freqs, docs
         if not _in_canonical_order(terms, freqs):
             # two stable sorts of row numbers: by term, then by descending frequency
@@ -110,15 +111,17 @@ class Vocabulary:
             order.sort(key=freqs.__getitem__, reverse=True)
             columns = [list(map(column.__getitem__, order)) for column in columns]
         rows = dict(zip(columns[0], range(size)))
-        if len(rows) < size:
-            _check_terms(terms, freqs, docs, case_fold)  # words the first duplicate
         self._terms, self._freqs, self._docs = tuple(columns[0]), columns[1], columns[2]
-        buckets: dict[int, list[str]] = {}
+        buckets: dict[int, list[str] | tuple[str, ...]] = {}
         for term in self._terms:
             buckets.setdefault(len(term), []).append(term)
+        if len(rows) < size or min(buckets, default=2) < 2:
+            _check_terms(terms, freqs, docs, case_fold)  # words the first duplicate or short term
+        for length, bucket in buckets.items():
+            buckets[length] = tuple(bucket)  # each list goes as its tuple is made
         self.case_fold = case_fold
         self._rows = rows
-        self._buckets = {length: tuple(b) for length, b in buckets.items()}
+        self._buckets = buckets
         self._matrices = {}  # length -> term_matrix(length)
 
     def __len__(self) -> int:
@@ -203,11 +206,17 @@ def _check_terms(
 
 def _in_canonical_order(terms: list[str], freqs: list[int]) -> bool:
     """Most frequent first and, among equal frequencies, strictly alphabetical."""
-    later = freqs[1:]
-    ties = list(map(eq, freqs, later))
-    return all(map(ge, freqs, later)) and all(
-        map(lt, compress(terms, ties), compress(terms[1:], ties))
-    )
+    if not all(map(ge, freqs, freqs[1:])):
+        return False
+    start, size = 0, len(freqs)
+    while start < size:
+        # frequencies do not increase, so their negations are sorted
+        end = bisect_right(freqs, -freqs[start], start, key=neg)
+        run = terms[start:end]
+        if not all(map(lt, run, run[1:])):
+            return False
+        start = end
+    return True
 
 
 def build_vocabulary(documents: Iterable[str], case_fold: bool = True) -> Vocabulary:
@@ -256,34 +265,51 @@ def save_vocabulary(vocab: Vocabulary, destination: str | Path) -> None:
 def load_vocabulary(source: str | Path) -> Vocabulary:
     """Parse a vocabulary file written by save_vocabulary.
 
+    Lines may end in any line break that str.splitlines knows, the last one
+    may have none, and counts are ASCII decimal integers, leading zeros
+    allowed. A file in the exact layout save_vocabulary writes is checked
+    and split in one pass over its text; any other is first rewritten in
+    that layout.
+
     Raises FormatError on a bad header, malformed lines, counts that are
     not ASCII decimal integers or too long for int(), duplicate terms or
     terms shorter than 2 characters.
     """
-    lines = Path(source).read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise FormatError("empty vocabulary file")
-    header = _HEADER_RE.match(lines[0])
-    if header is None:
-        raise FormatError(f"bad vocabulary header: {lines[0]!r}")
-    case_fold = header.group(1) == "true"
-    body = "\n".join([*lines[1:], ""])
-    if _BODY_RE.fullmatch(body):
-        # Each copy of the file is let go before the next one is made, which
-        # keeps the peak memory of a load near that of the finished vocabulary.
+    text = Path(source).read_text(encoding="utf-8")
+    end = text.find("\n")
+    # a match on the first line's copy: one on the text would keep the text alive
+    header = _HEADER_RE.match(text[:end]) if end >= 0 else None
+    if header is None or not _BODY_RE.fullmatch(text, end + 1):
+        # another line break, no final one, or a fault to word
+        lines = text.splitlines()
+        del text
+        if not lines:
+            raise FormatError("empty vocabulary file")
+        header = _HEADER_RE.match(lines[0])
+        if header is None:
+            raise FormatError(f"bad vocabulary header: {lines[0]!r}")
+        text, end = "\n".join([*lines, ""]), len(lines[0])
+        if not _BODY_RE.fullmatch(text, end + 1):
+            return Vocabulary._from_columns(*_split_rows(lines[1:]), header.group(1) == "true")
         del lines
-        fields = body.split()
-        try:
-            terms, freqs, docs = fields[::3], list(map(int, fields[1::3])), list(map(int, fields[2::3]))
-        except ValueError:  # a count longer than int() takes; the loop names its line
-            terms, freqs, docs = _split_rows(body.splitlines())
-        del fields
-    else:
-        terms, freqs, docs = _split_rows(lines[1:])
-    return Vocabulary._from_columns(terms, freqs, docs, case_fold)
+    # Each copy of the file is let go before the next one is made, which
+    # keeps the peak memory of a load near that of the finished vocabulary.
+    fields = text.split()
+    del text
+    # the header is three words; each distinct count string is read once
+    terms, freq_s, docs_s = fields[3::3], fields[4::3], fields[5::3]
+    del fields
+    try:
+        value = {s: int(s) for s in {*freq_s, *docs_s}}
+    except ValueError:  # a count longer than int() takes; the loop names its line
+        _split_rows(map("\t".join, zip(terms, freq_s, docs_s)))
+        raise
+    freqs, docs = list(map(value.__getitem__, freq_s)), list(map(value.__getitem__, docs_s))
+    del freq_s, docs_s
+    return Vocabulary._from_columns(terms, freqs, docs, header.group(1) == "true")
 
 
-def _split_rows(rows: list[str]) -> tuple[list[str], list[int], list[int]]:
+def _split_rows(rows: Iterable[str]) -> tuple[list[str], list[int], list[int]]:
     """Split file rows into columns, raising FormatError at the first bad line."""
     terms, freqs, docs = [], [], []
     for lineno, line in enumerate(rows, 2):

@@ -238,6 +238,28 @@ MALFORMED_VOCABULARIES = [
     ),
 ]
 
+_HEADER = "#translit-norm-vocab v1 case_fold=true"
+
+# Files outside the exact layout save_vocabulary writes, and what each one
+# loads as: (case_fold, rows in canonical order) or the FormatError message.
+UNUSUAL_VOCABULARIES = [
+    (f"{_HEADER}\r\nab\t1\t1\r\ncd\t2\t1\r\n", (True, [("cd", 2, 1), ("ab", 1, 1)])),
+    (f"{_HEADER}\rab\t1\t1\rcd\t2\t1\r", (True, [("cd", 2, 1), ("ab", 1, 1)])),
+    (f"{_HEADER}\u2028ab\t1\t1\u2028cd\t2\t1\u2028", (True, [("cd", 2, 1), ("ab", 1, 1)])),
+    (
+        "#translit-norm-vocab v1 case_fold=false\r\nAb\t1\t1\r\nab\t1\t1\r\n",
+        (False, [("Ab", 1, 1), ("ab", 1, 1)]),
+    ),
+    (f"{_HEADER}\nab\t1\t1\ncd\t2\t1", (True, [("cd", 2, 1), ("ab", 1, 1)])),  # no final line break
+    (f"{_HEADER}\nab\t1\t1\n\n", "line 3: expected term, frequency, doc_count"),  # trailing blank line
+    (f"{_HEADER}\nab\t007\t01\ncd\t7\t007\n", (True, [("ab", 7, 1), ("cd", 7, 7)])),
+    (f"{_HEADER}\n", (True, [])),
+    (_HEADER, (True, [])),
+    (f"{_HEADER}\r\n", (True, [])),
+    (f"{_HEADER}\nab\t2\t1\ncd\t1\t{'9' * 5000}\n", "line 3: count too large"),
+    (f"{_HEADER}\r\nab\t2\t1\r\ncd\t{'9' * 5000}\t1\r\n", "line 3: count too large"),
+]
+
 _NAIVE_TERM_RE = re.compile(r"[A-Za-z]{2,}\Z")
 _NAIVE_HEADER_RE = re.compile(r"#translit-norm-vocab v1 case_fold=(true|false)\Z")
 

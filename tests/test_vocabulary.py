@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given
@@ -15,11 +17,17 @@ from translitnorm import (
     load_corpus,
     load_vocabulary,
     save_vocabulary,
+    synthetic,
     tokenize,
     vocabulary,
 )
 
-from helpers import MALFORMED_VOCABULARIES, naive_check_terms, naive_load_vocabulary
+from helpers import (
+    MALFORMED_VOCABULARIES,
+    UNUSUAL_VOCABULARIES,
+    naive_check_terms,
+    naive_load_vocabulary,
+)
 
 
 def _entries(vocab, terms):
@@ -240,6 +248,43 @@ class TestLengthIndex:
         assert decoded == list(vocab.bucket(3))
 
 
+# Term and frequency columns: mostly in canonical order, with few distinct
+# frequencies so that runs of equal frequency are long; some have one adjacent
+# pair swapped or one term repeated, some are left unsorted.
+@st.composite
+def _ordered_columns(draw):
+    rows = draw(st.lists(st.tuples(st.integers(1, 3), st.text("abc", min_size=2, max_size=3)), max_size=40))
+    kind = draw(st.sampled_from(["sorted", "swapped", "repeated", "unsorted"]))
+    if kind != "unsorted":
+        rows = sorted(set(rows), key=lambda row: (-row[0], row[1]))
+    if kind == "swapped" and len(rows) > 1:
+        k = draw(st.integers(0, len(rows) - 2))
+        rows[k], rows[k + 1] = rows[k + 1], rows[k]
+    elif kind == "repeated" and rows:
+        k = draw(st.integers(0, len(rows) - 1))
+        rows.insert(k, rows[k])
+    return [term for _, term in rows], [freq for freq, _ in rows]
+
+
+class TestCanonicalOrder:
+    @given(columns=_ordered_columns())
+    @example(columns=([], []))
+    @example(columns=(["ab"], [1]))
+    @example(columns=([f"a{c}" for c in "bcdefghijklmnopqrstuvwxyz"], [1] * 25))
+    @example(columns=([f"a{c}" for c in "bcdefghijklmnopqrstuvwxzy"], [1] * 25))  # last pair of a long run
+    @example(columns=(["zz", "ab", "ac", "ad"], [2, 1, 1, 1]))
+    @example(columns=(["zz", "ab", "ad", "ac"], [2, 1, 1, 1]))  # the run at the end
+    @example(columns=(["ab", "ac", "ac"], [2, 1, 1]))
+    @example(columns=(["ac", "ab"], [2, 1]))
+    @example(columns=(["ab", "ac"], [1, 2]))
+    def test_matches_naive_rule(self, columns):
+        terms, freqs = columns
+        keys = [(-freq, term) for term, freq in zip(terms, freqs)]
+        expected = all(a < b for a, b in zip(keys, keys[1:]))
+        assert vocabulary._in_canonical_order(terms, freqs) is expected
+        assert vocabulary._in_canonical_order(tuple(terms), freqs) is expected
+
+
 class TestConstructionValidation:
     def test_duplicate_term(self):
         with pytest.raises(FormatError, match="duplicate"):
@@ -357,6 +402,38 @@ class TestPersistence:
         assert vocab.total_frequency() == 5
         assert vocab.terms() == ("phule", "gaane", "phulen", "raana")
         assert vocab.bucket(6) == ("phulen",)
+
+    @pytest.mark.parametrize("content,expected", UNUSUAL_VOCABULARIES)
+    def test_unusual_files(self, tmp_path, content, expected):
+        path = tmp_path / "vocab.tsv"
+        path.write_text(content, encoding="utf-8", newline="")
+        if isinstance(expected, str):
+            with pytest.raises(FormatError) as err:
+                load_vocabulary(path)
+            assert str(err.value) == expected
+            return
+        case_fold, rows = expected
+        vocab = load_vocabulary(path)
+        assert vocab.case_fold is case_fold
+        assert _entries(vocab, vocab.terms()) == [VocabTerm(*row) for row in rows]
+        assert naive_load_vocabulary(path) == (case_fold, [VocabTerm(*row) for row in rows])
+
+    def test_load_peak_memory(self, tmp_path):
+        # Peak traced memory as a multiple of what the vocabulary keeps: about
+        # 1.07 for this load. A load that splits the file into lines first
+        # reads 1.26 here and 1.23 on 50k terms, the bound; one that holds
+        # the file text and a copy of its body together reads 1.25.
+        path = tmp_path / "vocab.tsv"
+        save_vocabulary(build_vocabulary(synthetic.corpus_documents(pool_size=20_000, seed=18)), path)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            vocab = load_vocabulary(path)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(vocab) == 20_000
+        assert peak <= 1.23 * retained
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
