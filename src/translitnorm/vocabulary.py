@@ -8,11 +8,11 @@ admit instead of walking the whole term set.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
-from operator import attrgetter, ge, lt, neg
+from itertools import compress
+from operator import attrgetter, eq, ge, lt
 from pathlib import Path
 
 from .errors import EmptyCorpusError, FormatError
@@ -103,7 +103,6 @@ class Vocabulary:
             and all(map(ge, freqs, docs))
         ):
             _check_terms(terms, freqs, docs, case_fold)
-        del letters  # as large as the terms: not kept through the build
         columns = terms, freqs, docs
         if not _in_canonical_order(terms, freqs):
             # two stable sorts of row numbers: by term, then by descending frequency
@@ -112,16 +111,14 @@ class Vocabulary:
             columns = [list(map(column.__getitem__, order)) for column in columns]
         rows = dict(zip(columns[0], range(size)))
         self._terms, self._freqs, self._docs = tuple(columns[0]), columns[1], columns[2]
-        buckets: dict[int, list[str] | tuple[str, ...]] = {}
+        buckets: dict[int, list[str]] = {}
         for term in self._terms:
             buckets.setdefault(len(term), []).append(term)
         if len(rows) < size or min(buckets, default=2) < 2:
             _check_terms(terms, freqs, docs, case_fold)  # words the first duplicate or short term
-        for length, bucket in buckets.items():
-            buckets[length] = tuple(bucket)  # each list goes as its tuple is made
         self.case_fold = case_fold
         self._rows = rows
-        self._buckets = buckets
+        self._buckets = {length: tuple(b) for length, b in buckets.items()}
         self._matrices = {}  # length -> term_matrix(length)
 
     def __len__(self) -> int:
@@ -206,17 +203,11 @@ def _check_terms(
 
 def _in_canonical_order(terms: list[str], freqs: list[int]) -> bool:
     """Most frequent first and, among equal frequencies, strictly alphabetical."""
-    if not all(map(ge, freqs, freqs[1:])):
-        return False
-    start, size = 0, len(freqs)
-    while start < size:
-        # frequencies do not increase, so their negations are sorted
-        end = bisect_right(freqs, -freqs[start], start, key=neg)
-        run = terms[start:end]
-        if not all(map(lt, run, run[1:])):
-            return False
-        start = end
-    return True
+    later = freqs[1:]
+    ties = list(map(eq, freqs, later))
+    return all(map(ge, freqs, later)) and all(
+        map(lt, compress(terms, ties), compress(terms[1:], ties))
+    )
 
 
 def build_vocabulary(documents: Iterable[str], case_fold: bool = True) -> Vocabulary:
@@ -296,15 +287,19 @@ def load_vocabulary(source: str | Path) -> Vocabulary:
     # keeps the peak memory of a load near that of the finished vocabulary.
     fields = text.split()
     del text
-    # the header is three words; each distinct count string is read once
-    terms, freq_s, docs_s = fields[3::3], fields[4::3], fields[5::3]
+    terms, freq_s, docs_s = fields[3::3], fields[4::3], fields[5::3]  # the header is three words
     del fields
     try:
-        value = {s: int(s) for s in {*freq_s, *docs_s}}
+        # A corpus's counts repeat (57 distinct strings among the 100k of a
+        # 50k-term bench file), so each distinct string is read once. When
+        # more than one in eight is distinct, the dict costs more than it saves.
+        distinct = {*freq_s, *docs_s}
+        read = int if 4 * len(distinct) > len(freq_s) else {s: int(s) for s in distinct}.__getitem__
+        del distinct
+        freqs, docs = list(map(read, freq_s)), list(map(read, docs_s))
     except ValueError:  # a count longer than int() takes; the loop names its line
         _split_rows(map("\t".join, zip(terms, freq_s, docs_s)))
         raise
-    freqs, docs = list(map(value.__getitem__, freq_s)), list(map(value.__getitem__, docs_s))
     del freq_s, docs_s
     return Vocabulary._from_columns(terms, freqs, docs, header.group(1) == "true")
 

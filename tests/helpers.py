@@ -240,8 +240,10 @@ MALFORMED_VOCABULARIES = [
 
 _HEADER = "#translit-norm-vocab v1 case_fold=true"
 
-# Files outside the exact layout save_vocabulary writes, and what each one
-# loads as: (case_fold, rows in canonical order) or the FormatError message.
+# Files at the edges of the loader, and what each one loads as: (case_fold,
+# rows in canonical order) or the FormatError message. Most are outside the
+# exact layout save_vocabulary writes; the last two repeat their counts, so
+# the loader reads them through one dict of the distinct count strings.
 UNUSUAL_VOCABULARIES = [
     (f"{_HEADER}\r\nab\t1\t1\r\ncd\t2\t1\r\n", (True, [("cd", 2, 1), ("ab", 1, 1)])),
     (f"{_HEADER}\rab\t1\t1\rcd\t2\t1\r", (True, [("cd", 2, 1), ("ab", 1, 1)])),
@@ -258,6 +260,14 @@ UNUSUAL_VOCABULARIES = [
     (f"{_HEADER}\r\n", (True, [])),
     (f"{_HEADER}\nab\t2\t1\ncd\t1\t{'9' * 5000}\n", "line 3: count too large"),
     (f"{_HEADER}\r\nab\t2\t1\r\ncd\t{'9' * 5000}\t1\r\n", "line 3: count too large"),
+    (
+        _HEADER + "\n" + "".join(f"a{c}\t{'07' if c < 'i' else '7'}\t01\n" for c in "abcdefghijklmnop"),
+        (True, [(f"a{c}", 7, 1) for c in "abcdefghijklmnop"]),
+    ),
+    (
+        _HEADER + "\n" + "".join(f"a{c}\t2\t1\n" for c in "abcdefghijklmnop") + f"zz\t{'9' * 5000}\t1\n",
+        "line 18: count too large",
+    ),
 ]
 
 _NAIVE_TERM_RE = re.compile(r"[A-Za-z]{2,}\Z")

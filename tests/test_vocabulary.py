@@ -420,7 +420,7 @@ class TestPersistence:
 
     def test_load_peak_memory(self, tmp_path):
         # Peak traced memory as a multiple of what the vocabulary keeps: about
-        # 1.07 for this load. A load that splits the file into lines first
+        # 1.17 for this load. A load that splits the file into lines first
         # reads 1.26 here and 1.23 on 50k terms, the bound; one that holds
         # the file text and a copy of its body together reads 1.25.
         path = tmp_path / "vocab.tsv"

@@ -6,10 +6,9 @@ copy. A mutant is killed when a test fails. The script prints one JSON
 line: the number of mutants, how many were killed, the names of the
 survivors, and the first test that killed each mutant.
 
-    python tools/mutants.py            # every mutant
-    python tools/mutants.py VOWELS     # mutants whose name contains VOWELS
+    python tools/mutants.py
 
-Exit status: 0 when every mutant run was killed, 1 when one survived, 2 when
+Exit status: 0 when every mutant was killed, 1 when one survived, 2 when
 the table no longer matches the code (an old text is missing or not unique)
 or the unmutated copy fails its tests. Standard library only; it is not part
 of tier-1.
@@ -38,12 +37,13 @@ RULES = "src/translitnorm/rules.py"
 # (name, file, exact old text, new text, reason)
 MUTANTS = [
     # vocabulary loader
-    ("run-lt-le", VOCAB,
-     "if not all(map(lt, run, run[1:])):", "if not all(a <= b for a, b in zip(run, run[1:])):",
-     "equal terms inside a run of one frequency pass as canonical"),
-    ("run-end-short", VOCAB,
-     "run = terms[start:end]", "run = terms[start:end - 1]",
-     "the last term of each run of equal frequency is not compared"),
+    ("ties-lt-le", VOCAB,
+     "map(lt, compress(terms, ties), compress(terms[1:], ties))",
+     "(a <= b for a, b in zip(compress(terms, ties), compress(terms[1:], ties)))",
+     "equal terms of one frequency pass as canonical"),
+    ("ties-next-off-by-one", VOCAB,
+     "compress(terms[1:], ties)", "compress(terms[2:], ties)",
+     "a tied term is compared with the term two rows on, not the next"),
     ("freqs-from-docs", VOCAB,
      "fields[3::3], fields[4::3], fields[5::3]", "fields[3::3], fields[5::3], fields[5::3]",
      "frequencies are read from the doc_count column"),
@@ -113,11 +113,10 @@ def _run_tests(root: Path) -> tuple[int, str | None]:
     return proc.returncode, found and found.group(1)
 
 
-def main(argv: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not argv or any(a in m[0] for a in argv)]
+def main() -> int:
     stale = [
         f"{name}: {file} holds its old text {text.count(old)} times, not once: {old!r}"
-        for name, file, old, _, _ in chosen
+        for name, file, old, _, _ in MUTANTS
         if (text := (ROOT / file).read_text(encoding="utf-8")).count(old) != 1
     ]
     if stale:
@@ -140,7 +139,7 @@ def main(argv: list[str]) -> int:
             return 2
 
         kills, survived = {}, []
-        for name, file, old, new, reason in chosen:
+        for name, file, old, new, reason in MUTANTS:
             fresh_src()
             path = root / file
             path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
@@ -153,9 +152,9 @@ def main(argv: list[str]) -> int:
                 print(f"mutants: {name}: pytest exit {code} with no failed test", file=sys.stderr)
                 return 2
             print(f"mutants: {name}: {kills.get(name) or 'SURVIVED, ' + reason}", file=sys.stderr)
-    print(json.dumps({"mutants": len(chosen), "killed": len(kills), "survived": survived, "kills": kills}))
+    print(json.dumps({"mutants": len(MUTANTS), "killed": len(kills), "survived": survived, "kills": kills}))
     return 1 if survived else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
