@@ -217,8 +217,10 @@ class Candidate:
     proxy_weight: float
 
 
-def _batch_bounded(probe: str, matrix, bound: int) -> list[tuple[int, int]]:
-    """(row, distance) for each row of a code matrix within ``bound`` of an ASCII probe.
+def _batch_bounded(probe: str, codes: bytes, length: int, bound: int) -> list[tuple[int, int]]:
+    """(row, distance) for each term of a bucket within ``bound`` of an ASCII probe.
+
+    ``codes`` is the bucket's Vocabulary.bucket_codes: ``length`` bytes per term.
 
     Same recurrence as levenshtein_bounded, evaluated for a whole
     same-length bucket at once; values above ``bound`` are clamped to
@@ -229,6 +231,7 @@ def _batch_bounded(probe: str, matrix, bound: int) -> list[tuple[int, int]]:
     # process, and commands that scan no ASCII bucket never need it.
     import numpy as np
 
+    matrix = np.frombuffer(codes, np.uint8).reshape(-1, length)
     n, rows = matrix.shape
     width = len(probe) + 1
     cap = bound + 1
@@ -260,7 +263,7 @@ def _bucket_distances(
     if not terms:
         return []
     if probe.isascii():
-        hits = _batch_bounded(probe, vocab.term_matrix(length), bound)
+        hits = _batch_bounded(probe, vocab.bucket_codes(length), length, bound)
         return [(vocab.lookup(terms[i]), ed) for i, ed in hits]
     pairs = []
     for term in terms:
@@ -358,10 +361,11 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def _config_number(entries: dict[str, str], key: str, parse, kind: str):
-    # int() and float() also read non-ASCII digits ("٢" is 2); values are ASCII
+    # int() and float() also read non-ASCII digits ("٢" is 2), and int() reads
+    # "+1" and "0_1": values are ASCII, and an integer is plain digits, as --eq is
     value = entries[key]
     try:
-        if value.isascii():
+        if value.isascii() and (parse is float or value.isdigit()):
             return parse(value)
     except ValueError:
         pass

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -24,9 +25,11 @@ from translitnorm import (
     load_corpus,
     load_gold_set,
     load_model_config,
+    load_vocabulary,
     model_config,
     normalize,
     normalize_many,
+    save_vocabulary,
 )
 from translitnorm.rules import _admission, _bucket_distances, _proxy_exact, _pruning_weight_exact
 
@@ -242,6 +245,8 @@ class TestConfigFile:
             "wt9=0.5", "model", "model=m7", "eq=5", "wt1=abc", "model=m2\nmodel=m3", "eq=2.5",
             # int() and float() read these as 2 and 0.9
             "eq=\u0662", "wt1=\u0660.\u0669",
+            # int() reads these as 1; --eq takes ASCII digits only
+            "eq=0_1", "eq=+1",
         ],
     )
     def test_malformed(self, tmp_path, content):
@@ -487,6 +492,15 @@ class TestNormalizeMany:
     def test_no_configs(self):
         vocab = build_vocabulary(["phule"])
         assert normalize_many("phul", vocab, []) == []
+
+    @pytest.mark.parametrize("probe", ["phulan", "phulān"])
+    def test_leaves_vocabulary_unchanged(self, tmp_path, probe):
+        path = tmp_path / "vocab.tsv"
+        save_vocabulary(build_vocabulary(["phule phulen phool phal raat raata"]), path)
+        vocab = load_vocabulary(path)
+        snapshot = copy.deepcopy(vars(vocab))
+        assert normalize_many(probe, vocab, [M1, M2, M3, M4])[2]
+        assert vars(vocab) == snapshot
 
 
 class TestBatchDistances:

@@ -241,11 +241,12 @@ class TestLengthIndex:
         assert vocab.bucket(3) is vocab.bucket(3)
         assert all(type(term) is str for term in vocab.terms())
 
-    def test_term_matrix_mirrors_bucket(self):
-        vocab = build_vocabulary(["abc abd xyz"])
-        mat = vocab.term_matrix(3)
-        decoded = ["".join(map(chr, row)) for row in mat]
-        assert decoded == list(vocab.bucket(3))
+    def test_bucket_codes_mirror_bucket(self):
+        vocab = build_vocabulary(["abc Abd xyz XYZ ab AB Ba abcdefg abcd ABCD"], case_fold=False)
+        assert vocab.bucket_lengths() == [2, 3, 4, 7]
+        for length in vocab.bucket_lengths():
+            assert vocab.bucket_codes(length) == "".join(vocab.bucket(length)).encode()
+        assert vocab.bucket_codes(5) == b""
 
 
 # Term and frequency columns: mostly in canonical order, with few distinct

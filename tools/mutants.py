@@ -60,6 +60,9 @@ MUTANTS = [
     ("fold-without-lower", VOCAB,
      "return term.lower() if self.case_fold else term", "return term if self.case_fold else term",
      "probes are not case-folded against a case-folded vocabulary"),
+    ("bucket-codes-out-of-order", VOCAB,
+     '"".join(b).encode("ascii")', '"".join(reversed(b)).encode("ascii")',
+     "a bucket's codes list its terms in reverse row order"),
     # ranking core
     ("VOWELS", RULES,
      'VOWELS = frozenset("aeiou")', 'VOWELS = frozenset("aeio")',
