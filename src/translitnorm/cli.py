@@ -99,7 +99,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     vocab = vocabulary.load_vocabulary(args.vocab)
-    pairs = evaluation.load_gold_set(args.gold, vocab)
+    pairs = evaluation.load_gold_set(args.gold)
     config = _resolve_config(args)
     scores = evaluation.evaluate_model(pairs, vocab, config)
     report = evaluation.EvalReport({config.model_id: scores}, scores.sample_count)
@@ -108,7 +108,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     vocab = vocabulary.load_vocabulary(args.vocab)
-    pairs = evaluation.load_gold_set(args.gold, vocab)
+    pairs = evaluation.load_gold_set(args.gold)
     report = evaluation.compare_models(pairs, vocab)
     return _emit_report(report, args.out)
 

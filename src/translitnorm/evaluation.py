@@ -69,12 +69,6 @@ def _gold_rank(ranked: Sequence[Candidate], gold: str) -> int:
     return 0
 
 
-def _check_gold_terms(pairs: Sequence[GoldPair], vocab: Vocabulary) -> None:
-    missing = sorted({pair.gold for pair in pairs if pair.gold not in vocab})
-    if missing:
-        raise GoldTermMissingError(missing)
-
-
 def _score_configs(
     gold_set: Sequence[GoldPair], vocab: Vocabulary, configs: Sequence[ModelConfig]
 ) -> list[ModelScores]:
@@ -82,7 +76,9 @@ def _score_configs(
     pairs = list(gold_set)
     if not pairs:
         raise EmptyGoldSetError("gold set has no pairs")
-    _check_gold_terms(pairs, vocab)
+    missing = sorted({pair.gold for pair in pairs if pair.gold not in vocab})
+    if missing:
+        raise GoldTermMissingError(missing)
     tallies = [[Fraction(0), 0, 0, 0] for _ in configs]
     for pair in pairs:
         gold = vocab.fold(pair.gold)
@@ -131,12 +127,10 @@ def render_report(report: EvalReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_gold_set(
-    source: str | Path, vocab: Vocabulary | None = None
-) -> list[GoldPair]:
+def load_gold_set(source: str | Path) -> list[GoldPair]:
     """Read noisy TAB gold pairs; #-comment and blank lines are skipped.
 
-    When a vocabulary is given, every gold term must resolve in it.
+    Gold terms are checked against a vocabulary when the pairs are scored.
     """
     text = Path(source).read_text(encoding="utf-8")
     pairs = []
@@ -151,6 +145,4 @@ def load_gold_set(
         if len(noisy) < 2 or len(gold) < 2:
             raise FormatError(f"gold line {lineno}: terms need at least 2 characters")
         pairs.append(GoldPair(noisy, gold))
-    if vocab is not None:
-        _check_gold_terms(pairs, vocab)
     return pairs

@@ -59,7 +59,7 @@ class Formula(IntEnum):
 
     WEIGHTED = 1    # pruning weight minus ed/len
     SMOOTHED = 2    # pruning weight minus (ed - 1)/len, a zero-distance bonus
-    UNWEIGHTED = 3  # 1 minus ed/len, ignores the pruning weight
+    UNWEIGHTED = 3  # WEIGHTED under m1, whose pruning weight is always 1
 
 
 @dataclass(frozen=True)
@@ -150,8 +150,8 @@ def effective_length(vocab_len: int, query_len: int, rule: LengthRule) -> Fracti
     """Length normalizer for a (vocabulary term, query term) pair.
 
     Both lengths must be at least 2. Under VOCAB_LONGER the value is only
-    defined when the vocabulary term is strictly longer; other pairs are
-    disqualified before this is ever needed (see _admission).
+    defined when the vocabulary term is strictly longer. Either failure
+    raises a ValueError, which _admission reads as "no distance admitted".
     """
     if vocab_len <= 1 or query_len <= 1:
         raise TermTooShortError(
@@ -172,11 +172,10 @@ def _admission(vocab_len: int, query_len: int, rule: LengthRule) -> tuple[int, F
     """The largest edit distance strictly below half the effective length,
     and that length; None when no distance is admitted: a term shorter than 2,
     or under VOCAB_LONGER a vocabulary term that is not strictly longer."""
-    if vocab_len <= 1 or query_len <= 1:
+    try:
+        eff = effective_length(vocab_len, query_len, rule)
+    except ValueError:
         return None
-    if rule is LengthRule.VOCAB_LONGER and vocab_len <= query_len:
-        return None
-    eff = effective_length(vocab_len, query_len, rule)
     return (eff.numerator - 1) // (2 * eff.denominator), eff
 
 
@@ -199,11 +198,8 @@ def _pruning_weight_exact(query: str, vocab_term: str, config: ModelConfig) -> F
 def _proxy_exact(
     prun: Fraction, ed: int, length: Fraction, formula: Formula
 ) -> Fraction:
-    if formula is Formula.UNWEIGHTED:
-        return 1 - Fraction(ed) / length
-    if formula is Formula.SMOOTHED:
-        return prun - Fraction(ed - 1) / length
-    return prun - Fraction(ed) / length
+    # SMOOTHED counts one edit less; UNWEIGHTED is m1's, whose prun is 1
+    return prun - (ed - (formula is Formula.SMOOTHED)) / length
 
 
 @dataclass(frozen=True, slots=True)
@@ -285,12 +281,12 @@ def normalize_many(
 ) -> list[list[Candidate]]:
     """Rank vocabulary candidates for one query term, once per config.
 
-    A term already in the vocabulary short-circuits to a single candidate
-    at distance 0 carrying the maximum score each config can produce.
-    Otherwise each length bucket some config's threshold can admit is
-    scanned once, at the loosest admitting bound, and every config keeps
-    the rows within its own bound. Ordering is proxy weight descending,
-    then edit distance, then frequency descending, then the term itself.
+    A term already in the vocabulary is its only hit, at distance 0 with
+    its own length as effective length, under every config. Otherwise each
+    length bucket some config's threshold can admit is scanned once, at the
+    loosest admitting bound, and every config keeps the rows within its own
+    bound. Ordering is proxy weight descending, then edit distance, then
+    frequency descending, then the term itself.
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
@@ -298,38 +294,39 @@ def normalize_many(
     if len(probe) < 2:
         raise TermTooShortError(f"cannot normalize {term!r}: need at least 2 characters")
     if probe in vocab:
-        length = Fraction(len(probe))
-        exact = []
-        for config in configs:
-            prun = _pruning_weight_exact(probe, probe, config)
-            score = _proxy_exact(prun, 0, length, config.formula)
-            exact.append([Candidate(probe, 0, float(prun), length, float(score))])
-        return exact
+        hits = [[(vocab.lookup(probe), 0, Fraction(len(probe)))] for _ in configs]
+    else:
+        hits = [[] for _ in configs]  # per config: (term, distance, effective length)
+        query_len = len(probe)
+        for vocab_len in vocab.bucket_lengths():
+            admitted = []  # (hits, distance bound, effective length)
+            for config_hits, config in zip(hits, configs):
+                admission = _admission(vocab_len, query_len, config.length_rule)
+                # below the length gap, no edit script can both bridge it and qualify
+                if admission is not None and admission[0] >= abs(vocab_len - query_len):
+                    admitted.append((config_hits, *admission))
+            if not admitted:
+                continue
+            for vt, ed in _bucket_distances(vocab, vocab_len, probe, max(a[1] for a in admitted)):
+                for config_hits, bound, eff in admitted:
+                    if ed <= bound:
+                        config_hits.append((vt, ed, eff))
+    return [_rank(probe, config, h, top_k) for config, h in zip(configs, hits)]
 
-    query_len = len(probe)
-    scored: list[list[tuple]] = [[] for _ in configs]
-    for vocab_len in vocab.bucket_lengths():
-        admitted = []  # (rows, config, distance bound, effective length)
-        for rows, config in zip(scored, configs):
-            admission = _admission(vocab_len, query_len, config.length_rule)
-            # below the length gap, no edit script can both bridge it and qualify
-            if admission is not None and admission[0] >= abs(vocab_len - query_len):
-                admitted.append((rows, config, *admission))
-        if not admitted:
-            continue
-        for vt, ed in _bucket_distances(vocab, vocab_len, probe, max(a[2] for a in admitted)):
-            for rows, config, bound, eff in admitted:
-                if ed <= bound:
-                    prun = _pruning_weight_exact(probe, vt.term, config)
-                    score = _proxy_exact(prun, ed, eff, config.formula)
-                    rows.append((-score, ed, -vt.frequency, vt.term, prun, eff))
+
+def _rank(
+    probe: str, config: ModelConfig, hits: list[tuple[VocabTerm, int, Fraction]], top_k: int
+) -> list[Candidate]:
+    """The top_k of one config's hits, scored and in ranking order."""
+    rows = []
+    for vt, ed, eff in hits:
+        prun = _pruning_weight_exact(probe, vt.term, config)
+        score = _proxy_exact(prun, ed, eff, config.formula)
+        rows.append((-score, ed, -vt.frequency, vt.term, prun, eff))
     # terms are unique, so whole rows sort by their first four fields alone
     return [
-        [
-            Candidate(term, ed, float(prun), eff, float(-neg_score))
-            for neg_score, ed, _, term, prun, eff in sorted(rows)[:top_k]
-        ]
-        for rows in scored
+        Candidate(term, ed, float(prun), eff, float(-neg_score))
+        for neg_score, ed, _, term, prun, eff in sorted(rows)[:top_k]
     ]
 
 
@@ -361,14 +358,12 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def _config_number(entries: dict[str, str], key: str, parse, kind: str):
-    # int() and float() also read non-ASCII digits ("٢" is 2), and int() reads
-    # "+1" and "0_1": values are ASCII, and an integer is plain digits, as --eq is
+    # int() and float() also read non-ASCII digits ("٢" is 2), "+1" and "0_1",
+    # and float() "1e-1": a value is ASCII digits, a decimal with at most one "."
     value = entries[key]
-    try:
-        if value.isascii() and (parse is float or value.isdigit()):
-            return parse(value)
-    except ValueError:
-        pass
+    digits = value.replace(".", "", 1) if parse is float else value
+    if value.isascii() and digits.isdigit():
+        return parse(value)
     raise FormatError(f"config: {key} must be {kind}, got {value!r}")
 
 

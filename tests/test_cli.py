@@ -226,6 +226,21 @@ class TestEvaluateAndCompare:
         assert code == 3
         assert "absent" in capsys.readouterr().err
 
+    def test_bad_config_before_missing_gold_term(self, vocab_file, tmp_path, capsys):
+        # the config is resolved before the gold terms are checked, so it decides
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("fule\tabsent\n")
+        conf = tmp_path / "conf"
+        conf.write_text("bogus=1\n")
+        out = tmp_path / "report.tsv"
+        code = main(
+            ["evaluate", "--vocab", str(vocab_file), "--gold", str(gold),
+             "--config", str(conf), "--out", str(out)]
+        )
+        assert code == 1
+        assert "absent" not in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_gold_exits_1(self, vocab_file, tmp_path):
         gold = tmp_path / "gold.tsv"
         gold.write_text("only-one-column\n")

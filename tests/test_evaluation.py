@@ -164,7 +164,7 @@ class TestCompareModels:
 
     def test_matches_one_model_at_a_time_on_bundled_gold(self):
         vocab = build_vocabulary(load_corpus(DATA_DIR / "corpus"))
-        pairs = load_gold_set(DATA_DIR / "gold_large.tsv", vocab)
+        pairs = load_gold_set(DATA_DIR / "gold_large.tsv")
         self._assert_matches_evaluate(pairs, vocab)
 
     @pytest.mark.parametrize("seed", (1, 2, 3))
@@ -205,20 +205,6 @@ class TestLoadGoldSet:
         path.write_text("# header\nfule\tphule\n\nrxn\tran\n")
         pairs = load_gold_set(path)
         assert pairs == [GoldPair("fule", "phule"), GoldPair("rxn", "ran")]
-
-    def test_vocab_check(self, tmp_path):
-        path = tmp_path / "gold.tsv"
-        path.write_text("fule\tphule\n")
-        vocab = build_vocabulary(["phule"])
-        assert load_gold_set(path, vocab) == [GoldPair("fule", "phule")]
-        path.write_text("fule\tabsent\n")
-        with pytest.raises(GoldTermMissingError):
-            load_gold_set(path, vocab)
-
-    def test_empty_file_with_vocab(self, tmp_path):
-        path = tmp_path / "gold.tsv"
-        path.write_text("# no pairs\n")
-        assert load_gold_set(path, build_vocabulary(["phule"])) == []
 
     @pytest.mark.parametrize(
         "content",

@@ -247,6 +247,8 @@ class TestConfigFile:
             "eq=\u0662", "wt1=\u0660.\u0669",
             # int() reads these as 1; --eq takes ASCII digits only
             "eq=0_1", "eq=+1",
+            # float() reads these as 0.1, 0.1, 0.5 and -0.0; a weight is digits and one "."
+            "wt1=0.1_0", "wt1=1e-1", "wt1=+0.5", "wt1=-0",
         ],
     )
     def test_malformed(self, tmp_path, content):
@@ -404,6 +406,8 @@ class TestNormalizeMany:
         M3,
         M4,
         model_config("m2", formula=2),
+        model_config("m3", formula=2),
+        model_config("m4", formula=2),
         model_config("m3", weights=RuleWeights(0.9, 0.1, 0.05, 0.5, 0.3)),
     ]
 

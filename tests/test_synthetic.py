@@ -98,9 +98,9 @@ class TestBundledData:
     @pytest.mark.parametrize(("name", "expected"), [("gold_small.tsv", 56), ("gold_large.tsv", 68)])
     def test_gold_files(self, name, expected):
         vocab = build_vocabulary(load_corpus(DATA_DIR / "corpus"))
-        pairs = load_gold_set(DATA_DIR / name, vocab)
+        pairs = load_gold_set(DATA_DIR / name)
         assert len(pairs) == expected
-        assert all(p.noisy not in vocab for p in pairs)
+        assert all(p.noisy not in vocab and p.gold in vocab for p in pairs)
 
     def test_regeneration_is_byte_identical(self, tmp_path):
         write_dataset(tmp_path)

@@ -79,8 +79,11 @@ MUTANTS = [
      "admission[0] >= abs(vocab_len - query_len)", "admission[0] > abs(vocab_len - query_len)",
      "a bucket whose length gap equals the bound is skipped"),
     ("eq2-no-bonus", RULES,
-     "return prun - Fraction(ed - 1) / length", "return prun - Fraction(ed) / length",
+     "(formula is Formula.SMOOTHED)", "False",
      "eq=2 loses its zero-distance bonus"),
+    ("exact-hit-length-plus-1", RULES,
+     "Fraction(len(probe))", "Fraction(len(probe) + 1)",
+     "an in-vocabulary term is scored at one more than its own length"),
     ("tie-without-frequency", RULES,
      "rows.append((-score, ed, -vt.frequency, vt.term, prun, eff))",
      "rows.append((-score, ed, 0, vt.term, prun, eff))",
