@@ -59,7 +59,7 @@ class Formula(IntEnum):
 
     WEIGHTED = 1    # pruning weight minus ed/len
     SMOOTHED = 2    # pruning weight minus (ed - 1)/len, a zero-distance bonus
-    UNWEIGHTED = 3  # WEIGHTED under m1, whose pruning weight is always 1
+    UNWEIGHTED = 3  # m1's only formula: WEIGHTED, as its pruning weight is always 1
 
 
 @dataclass(frozen=True)
@@ -84,23 +84,36 @@ _CHAR_RULES_ALL = frozenset(
     {CharRule.FIRST_CHAR, CharRule.SECOND_CHAR, CharRule.LAST_CONSONANT}
 )
 
-_MODEL_TABLE: dict[str, tuple[LengthRule, frozenset[CharRule], Formula]] = {
-    "m1": (LengthRule.LONGEST, frozenset(), Formula.UNWEIGHTED),
-    "m2": (LengthRule.AVERAGE, _CHAR_RULES_FIRST_TWO, Formula.WEIGHTED),
-    "m3": (LengthRule.AVERAGE, _CHAR_RULES_ALL, Formula.WEIGHTED),
-    "m4": (LengthRule.VOCAB_LONGER, _CHAR_RULES_ALL, Formula.WEIGHTED),
+# per model: length rule, char rules and the admitted formulas, the default first
+_MODEL_TABLE: dict[str, tuple[LengthRule, frozenset[CharRule], tuple[Formula, ...]]] = {
+    "m1": (LengthRule.LONGEST, frozenset(), (Formula.UNWEIGHTED,)),
+    "m2": (LengthRule.AVERAGE, _CHAR_RULES_FIRST_TWO, (Formula.WEIGHTED, Formula.SMOOTHED)),
+    "m3": (LengthRule.AVERAGE, _CHAR_RULES_ALL, (Formula.WEIGHTED, Formula.SMOOTHED)),
+    "m4": (LengthRule.VOCAB_LONGER, _CHAR_RULES_ALL, (Formula.WEIGHTED, Formula.SMOOTHED)),
 }
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Fully determines ranking behavior: rules, formula and weights."""
+    """Ranking rules, formula and weights; only the model table's m1-m4 shapes build."""
 
     model_id: str
     length_rule: LengthRule
     char_rules: frozenset[CharRule]
     formula: Formula
     weights: RuleWeights = field(default_factory=RuleWeights)
+
+    def __post_init__(self) -> None:
+        if self.model_id not in _MODEL_TABLE:
+            raise ValueError(f"unknown model {self.model_id!r}, expected one of {MODEL_IDS}")
+        length_rule, char_rules, formulas = _MODEL_TABLE[self.model_id]
+        if (self.length_rule, self.char_rules) != (length_rule, char_rules):
+            raise ValueError(f"{self.model_id} takes only its own length rule and char rules")
+        # _proxy_exact tests the formula by identity, so a plain int is refused too
+        if not isinstance(self.formula, Formula) or self.formula not in formulas:
+            if self.model_id == "m1":
+                raise ValueError("m1 admits only the unweighted formula (eq=3)")
+            raise ValueError(f"{self.model_id} admits only the weighted formulas (eq=1 or eq=2)")
 
 
 def model_config(
@@ -112,25 +125,17 @@ def model_config(
 
     ``formula`` may override the scoring formula for m2-m4 (codes 1 or 2);
     m1 always uses the unweighted formula. ``weights`` replaces the default
-    rule weights.
+    rule weights. ModelConfig rejects any other shape.
     """
     key = model_id.lower()
     if key not in _MODEL_TABLE:
         raise ValueError(f"unknown model {model_id!r}, expected one of {MODEL_IDS}")
-    length_rule, char_rules, default_formula = _MODEL_TABLE[key]
-    if formula is None:
-        formula = default_formula
-    else:
-        formula = Formula(formula)
-        if key == "m1" and formula is not Formula.UNWEIGHTED:
-            raise ValueError("m1 admits only the unweighted formula (eq=3)")
-        if key != "m1" and formula is Formula.UNWEIGHTED:
-            raise ValueError(f"{key} admits only the weighted formulas (eq=1 or eq=2)")
+    length_rule, char_rules, formulas = _MODEL_TABLE[key]
     return ModelConfig(
         model_id=key,
         length_rule=length_rule,
         char_rules=char_rules,
-        formula=formula,
+        formula=formulas[0] if formula is None else Formula(formula),
         weights=weights if weights is not None else RuleWeights(),
     )
 
@@ -198,7 +203,7 @@ def _pruning_weight_exact(query: str, vocab_term: str, config: ModelConfig) -> F
 def _proxy_exact(
     prun: Fraction, ed: int, length: Fraction, formula: Formula
 ) -> Fraction:
-    # SMOOTHED counts one edit less; UNWEIGHTED is m1's, whose prun is 1
+    # SMOOTHED counts one edit less; ModelConfig admits UNWEIGHTED only for m1, whose prun is 1
     return prun - (ed - (formula is Formula.SMOOTHED)) / length
 
 
@@ -223,8 +228,8 @@ def _batch_bounded(probe: str, codes: bytes, length: int, bound: int) -> list[tu
     bound + 1 (the clamp can never drag a true value below the bound).
     The insertion cascade along a row is resolved with a running minimum.
     """
-    # Imported here, not with the package: numpy is ~100 ms of a ~250 ms CLI
-    # process, and commands that scan no ASCII bucket never need it.
+    # Imported here, not with the package: numpy's import is a large share of a
+    # CLI process, and commands that scan no ASCII bucket never need it.
     import numpy as np
 
     matrix = np.frombuffer(codes, np.uint8).reshape(-1, length)

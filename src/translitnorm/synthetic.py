@@ -17,7 +17,6 @@ import random
 import sys
 from pathlib import Path
 
-from .cli import ascii_int
 from .evaluation import GoldPair
 from .vocabulary import Vocabulary, build_vocabulary
 
@@ -47,8 +46,9 @@ _DIGRAPH_SWAPS = (
     ("s", "sh"),
 )
 
-DEFAULT_DOCS = 56
+N_DOCS = 56
 DEFAULT_POOL = 2600
+GOLD_MIN_LEN = 4  # gold terms are corrupted from vocabulary terms this long or longer
 CORPUS_SEED = 731
 GOLD_SEED_SMALL = 1109
 GOLD_SEED_LARGE = 2317
@@ -81,20 +81,16 @@ def word_pool(seed: int = CORPUS_SEED, size: int = DEFAULT_POOL) -> list[str]:
     return pool
 
 
-def corpus_documents(
-    n_docs: int = DEFAULT_DOCS,
-    pool_size: int = DEFAULT_POOL,
-    seed: int = CORPUS_SEED,
-) -> list[str]:
-    """Document texts covering the whole word pool, with skewed repetition."""
-    if n_docs < 1 or pool_size < 1:
-        raise ValueError(f"need at least 1 document and 1 pool word, got {n_docs} and {pool_size}")
+def corpus_documents(pool_size: int = DEFAULT_POOL, seed: int = CORPUS_SEED) -> list[str]:
+    """N_DOCS document texts covering the whole word pool, with skewed repetition."""
+    if pool_size < 1:
+        raise ValueError(f"need at least 1 pool word, got {pool_size}")
     pool = word_pool(seed, pool_size)
     rng = random.Random(seed + 1)
     weights = [1.0 / (rank + 1) for rank in range(pool_size)]
-    per_doc = -(-pool_size // n_docs)  # ceiling: every pool word appears somewhere
+    per_doc = -(-pool_size // N_DOCS)  # ceiling: every pool word appears somewhere
     documents = []
-    for doc_index in range(n_docs):
+    for doc_index in range(N_DOCS):
         words = pool[doc_index * per_doc : (doc_index + 1) * per_doc]
         words = words + rng.choices(pool, weights=weights, k=140)
         rng.shuffle(words)
@@ -143,16 +139,14 @@ def corrupt_term(term: str, rng: random.Random) -> str:
             return result
 
 
-def gold_pairs(
-    vocab: Vocabulary, count: int, seed: int, min_len: int = 4
-) -> list[GoldPair]:
+def gold_pairs(vocab: Vocabulary, count: int, seed: int) -> list[GoldPair]:
     """Seeded (noisy, gold) pairs whose noisy side is genuinely out of vocabulary.
 
     Raises ValueError when the vocabulary cannot supply ``count`` distinct
     noisy terms.
     """
     rng = random.Random(seed)
-    eligible = [term for term in vocab.terms() if len(term) >= min_len]
+    eligible = [term for term in vocab.terms() if len(term) >= GOLD_MIN_LEN]
     if not eligible:
         raise ValueError("vocabulary holds no terms long enough to corrupt")
     pairs: list[GoldPair] = []
@@ -172,9 +166,9 @@ def gold_pairs(
     return pairs
 
 
-def write_dataset(dest: str | Path, n_docs: int = DEFAULT_DOCS, pool_size: int = DEFAULT_POOL) -> None:
+def write_dataset(dest: str | Path) -> None:
     """Write the bundled corpus and the two gold files under ``dest``."""
-    documents = corpus_documents(n_docs, pool_size)
+    documents = corpus_documents()
     root = Path(dest)
     corpus_dir = root / "corpus"
     corpus_dir.mkdir(parents=True, exist_ok=True)
@@ -193,11 +187,9 @@ def write_dataset(dest: str | Path, n_docs: int = DEFAULT_DOCS, pool_size: int =
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="regenerate the bundled data set")
     parser.add_argument("--dest", default="data")
-    parser.add_argument("--docs", type=ascii_int(0), default=DEFAULT_DOCS)
-    parser.add_argument("--pool", type=ascii_int(0), default=DEFAULT_POOL)
     args = parser.parse_args(argv)
     try:
-        write_dataset(args.dest, args.docs, args.pool)
+        write_dataset(args.dest)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

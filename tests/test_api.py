@@ -43,17 +43,23 @@ def test_submodule_names_exist(module):
 
 
 def test_import_loads_no_generator_or_cli_and_leaks_nothing():
-    code = (
-        "import json, sys, translitnorm as tn; "
-        "print(json.dumps([sorted(n for n in dir(tn) if not n.startswith('_')), "
-        "sorted(m for m in sys.modules if m.startswith('translitnorm'))]))"
-    )
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    public, loaded = json.loads(out.stdout)
+    def run(module):
+        code = (
+            f"import json, sys, {module}, translitnorm as tn; "
+            "print(json.dumps([sorted(n for n in dir(tn) if not n.startswith('_')), "
+            "sorted(m for m in sys.modules if m.startswith('translitnorm'))]))"
+        )
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        return json.loads(out.stdout)
+
+    public, loaded = run("translitnorm")
     submodules = [module.__name__ for module in MODULES]
     assert public == sorted([*translitnorm.__all__, *_ids(MODULES)])
     assert loaded == sorted(["translitnorm", *submodules])
+    # the generator needs the library, not the command line
+    _, loaded = run("translitnorm.synthetic")
+    assert loaded == sorted(["translitnorm", *submodules, "translitnorm.synthetic"])

@@ -2,8 +2,8 @@
 
 The file pins the stdout and exit code of every CLI call that
 ``tools/golden_cli.py`` makes: build-vocab's file digests, normalize on
-every gold term under five configurations, and evaluate and compare on both
-gold sets. It was written once and shares no code with the scan or the
+every gold term under five configurations and on two terms with each config
+file of ``tests/data``, and evaluate and compare on both gold sets. It was written once and shares no code with the scan or the
 scoring, so any change to them that alters an output fails here with the
 first differing call.
 """

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from translitnorm import (
+    CharRule,
     Formula,
     LengthRule,
     FormatError,
@@ -26,6 +27,7 @@ from translitnorm import (
     load_gold_set,
     load_model_config,
     load_vocabulary,
+    ModelConfig,
     model_config,
     normalize,
     normalize_many,
@@ -216,6 +218,56 @@ class TestModelConfig:
     def test_unknown_model(self):
         with pytest.raises(ValueError):
             model_config("m5")
+
+    def test_unweighted_with_char_rules_is_refused(self):
+        # scored prun - ed/len, not m1's 1 - ed/len: gaanee for gaane read 1.5682, not 0.8182
+        with pytest.raises(ValueError, match="m3 admits only the weighted formulas"):
+            ModelConfig("m3", LengthRule.AVERAGE, frozenset(CharRule), Formula.UNWEIGHTED)
+
+    _M1_ONLY = r"^m1 admits only the unweighted formula \(eq=3\)$"
+    _WEIGHTED_ONLY = r"^{} admits only the weighted formulas \(eq=1 or eq=2\)$"
+    _OWN_RULES = r"^{} takes only its own length rule and char rules$"
+
+    # (model id, length rule, char rules, formula code, message; None where the shape builds)
+    @pytest.mark.parametrize(
+        ("model_id", "length_rule", "char_rules", "formula", "message"),
+        [
+            ("m1", M1.length_rule, M1.char_rules, 1, _M1_ONLY),
+            ("m1", M1.length_rule, M1.char_rules, 2, _M1_ONLY),
+            ("m1", M1.length_rule, M1.char_rules, 3, None),
+            ("m2", M2.length_rule, M2.char_rules, 1, None),
+            ("m2", M2.length_rule, M2.char_rules, 2, None),
+            ("m2", M2.length_rule, M2.char_rules, 3, _WEIGHTED_ONLY.format("m2")),
+            ("m3", M3.length_rule, M3.char_rules, 1, None),
+            ("m3", M3.length_rule, M3.char_rules, 2, None),
+            ("m3", M3.length_rule, M3.char_rules, 3, _WEIGHTED_ONLY.format("m3")),
+            ("m4", M4.length_rule, M4.char_rules, 1, None),
+            ("m4", M4.length_rule, M4.char_rules, 2, None),
+            ("m4", M4.length_rule, M4.char_rules, 3, _WEIGHTED_ONLY.format("m4")),
+            ("m1", LengthRule.LONGEST, frozenset({CharRule.FIRST_CHAR}), 3, _OWN_RULES.format("m1")),
+            ("m4", LengthRule.AVERAGE, M4.char_rules, 1, _OWN_RULES.format("m4")),
+            ("m5", LengthRule.AVERAGE, M3.char_rules, 1, r"^unknown model 'm5', expected one of "),
+        ],
+        ids=[f"{m}-eq{f}" for m in ("m1", "m2", "m3", "m4") for f in (1, 2, 3)]
+        + ["m1-first-char", "m4-average", "unknown-id"],
+    )
+    def test_only_the_model_table_builds(self, model_id, length_rule, char_rules, formula, message):
+        def build():
+            return ModelConfig(model_id, length_rule, char_rules, Formula(formula))
+
+        if message is None:
+            assert build() == model_config(model_id, formula)
+            return
+        with pytest.raises(ValueError, match=message):
+            build()
+        if "takes only" not in message:  # model_config builds no other rules
+            with pytest.raises(ValueError, match=message):
+                model_config(model_id, formula)
+
+    def test_plain_int_formula_is_refused(self):
+        # _proxy_exact would score an int 2 as the weighted formula
+        with pytest.raises(ValueError, match=self._WEIGHTED_ONLY.format("m3")):
+            ModelConfig("m3", M3.length_rule, M3.char_rules, 2)
 
 
 class TestConfigFile:

@@ -8,12 +8,15 @@ It runs the CLI in-process, one call per row, and writes
 - ``build-vocab`` on ``data/corpus``, folded and ``--preserve-case``;
 - ``normalize`` on every distinct term of the two gold files, under m1,
   m2, m3, m4 and ``m3 --eq 2 --top 3``, against the folded vocabulary;
+- ``normalize`` on two gold terms with each ``--config`` file of
+  ``CONFIG_CALLS``, three of which the config check rejects;
 - ``evaluate`` under m1, m2, m3, m4 and ``m3 --eq 2``, and ``compare``,
   on both gold files.
 
 Each row is ``args<TAB>exit<TAB>stdout``. ``args`` are the CLI arguments,
 split on spaces, with ``{data}``, ``{vocab}`` and ``{out}`` standing for the
-data directory, the folded vocabulary file and a scratch output file.
+data directory, the folded vocabulary file and a scratch output file, and
+``{conf}`` for ``tests/data``, which holds the config files.
 ``stdout`` is escaped with ``unicode_escape``. A ``build-vocab`` row's
 stdout ends with a ``sha256`` line for the file it wrote. The first row
 writes ``{vocab}``, which later rows read.
@@ -35,6 +38,16 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "golden_cli.tsv"
 GOLD_FILES = ("gold_small.tsv", "gold_large.tsv")
 CONFIGS = ("--model m1", "--model m2", "--model m3", "--model m4", "--model m3 --eq 2 --top 3")
+# a config file, with and without flags; the last three exit 1
+CONFIG_CALLS = (
+    "--config {conf}/config_m1_eq3.conf",
+    "--config {conf}/config_upper_m1.conf",
+    "--config {conf}/config_m2_eq2_wt1.conf",
+    "--config {conf}/config_m1.conf --eq 1",
+    "--config {conf}/config_eq3.conf --model m3",
+    "--config {conf}/config_eq5.conf",
+)
+CONFIG_TERMS = ("bahet", "chinu")  # in and out of the vocabulary
 
 
 def gold_terms(data: Path) -> list[str]:
@@ -58,6 +71,11 @@ def calls(data: Path) -> list[str]:
         for config in CONFIGS
         for term in gold_terms(data)
     ]
+    rows += [
+        f"normalize --vocab {{vocab}} {config} --term {term}"
+        for config in CONFIG_CALLS
+        for term in CONFIG_TERMS
+    ]
     for name in GOLD_FILES:
         gold = f"--vocab {{vocab}} --gold {{data}}/{name} --out {{out}}"
         # evaluate takes no --top
@@ -70,7 +88,7 @@ def run(template: str, data: Path, vocab: Path, out: Path) -> tuple[int, str]:
     """Exit code and stdout of one CLI call; stderr is dropped."""
     from translitnorm.cli import main
 
-    args = [a.format(data=data, vocab=vocab, out=out) for a in template.split(" ")]
+    args = [a.format(data=data, vocab=vocab, out=out, conf=GOLDEN.parent) for a in template.split(" ")]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         try:

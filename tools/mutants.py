@@ -64,6 +64,10 @@ MUTANTS = [
      '"".join(b).encode("ascii")', '"".join(reversed(b)).encode("ascii")',
      "a bucket's codes list its terms in reverse row order"),
     # ranking core
+    ("config-formula-unchecked", RULES,
+     "if not isinstance(self.formula, Formula) or self.formula not in formulas:",
+     "if not isinstance(self.formula, Formula):",
+     "ModelConfig builds any model with any formula, m3 with eq=3 included"),
     ("VOWELS", RULES,
      'VOWELS = frozenset("aeiou")', 'VOWELS = frozenset("aeio")',
      "u counts as a consonant in the last-consonant rule"),
