@@ -1,8 +1,10 @@
-"""Levenshtein edit distance: exact two-row DP plus a banded bounded variant.
+"""Levenshtein edit distance by the bit-vector algorithm of Myers (JACM 1999),
+in the form Hyyrö (2001) gives for the edit distance of two whole strings.
 
 Distances are plain non-negative ints counting unit-cost inserts, deletes
 and substitutions. Strings are compared code point by code point; any case
-folding happens upstream in tokenization.
+folding happens upstream in tokenization. Bit vectors are Python ints, so
+neither string length nor alphabet is limited.
 """
 
 from __future__ import annotations
@@ -13,6 +15,10 @@ __all__ = ["levenshtein", "levenshtein_bounded"]
 def levenshtein(a: str, b: str) -> int:
     """Minimum number of single-character edits turning ``a`` into ``b``.
 
+    Bit i of ``pv`` (``mv``) is set when row i + 1 of the DP column over the
+    shorter string is one more (less) than row i; each longer-string
+    character advances the column.
+
     >>> levenshtein("RISK", "MASK")
     2
     >>> levenshtein("phule", "phulen")
@@ -20,64 +26,39 @@ def levenshtein(a: str, b: str) -> int:
     >>> levenshtein("", "abc")
     3
     """
-    if a == b:
-        return 0
     if len(a) < len(b):
         a, b = b, a
-    lb = len(b)
-    if lb == 0:
+    if not b:
         return len(a)
-    prev = list(range(lb + 1))
-    for i, ca in enumerate(a, 1):
-        cur = [i]
-        for j, cb in enumerate(b, 1):
-            if ca == cb:
-                cur.append(prev[j - 1])
-            else:
-                cur.append(1 + min(prev[j - 1], prev[j], cur[j - 1]))
-        prev = cur
-    return prev[lb]
+    masks: dict[str, int] = {}  # character -> the positions it holds in b
+    bit = 1
+    for ch in b:
+        masks[ch] = masks.get(ch, 0) | bit
+        bit <<= 1
+    full, top = bit - 1, bit >> 1
+    pv, mv, d = full, 0, len(b)  # column 0: every vertical delta is +1
+    for ch in a:
+        eq = masks.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & top:
+            d += 1
+        elif mh & top:
+            d -= 1
+        ph = (ph << 1) | 1  # row 0 of the DP grows by one per column
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & full
+        mv = ph & xv
+    return d
 
 
 def levenshtein_bounded(a: str, b: str, bound: int) -> int | None:
-    """Exact distance when it is at most ``bound``, otherwise None.
-
-    Evaluates only a diagonal band of half-width ``bound`` of the DP matrix
-    and abandons the scan as soon as a whole band row exceeds the bound, so
-    the cost is O(bound * min(len(a), len(b))) instead of quadratic.
-    """
+    """Exact distance when it is at most ``bound``, otherwise None."""
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    if a == b:
-        return 0
-    la, lb = len(a), len(b)
-    if abs(la - lb) > bound:
+    if abs(len(a) - len(b)) > bound:
         return None
-    if la < lb:
-        a, b, la, lb = b, a, lb, la
-    if lb == 0:
-        return la  # la <= bound here, the length gap was checked above
-    cap = bound + 1  # sentinel: every value beyond the bound behaves alike
-    prev = [j if j <= bound else cap for j in range(lb + 1)]
-    for i in range(1, la + 1):
-        ca = a[i - 1]
-        lo = max(1, i - bound)
-        hi = min(lb, i + bound)
-        cur = [cap] * (lb + 1)
-        cur[0] = i if i <= bound else cap
-        best = cur[0]
-        for j in range(lo, hi + 1):
-            if ca == b[j - 1]:
-                d = prev[j - 1]
-            else:
-                d = 1 + min(prev[j - 1], prev[j], cur[j - 1])
-                if d > cap:
-                    d = cap
-            cur[j] = d
-            if d < best:
-                best = d
-        if best > bound:
-            return None
-        prev = cur
-    d = prev[lb]
+    d = levenshtein(a, b)
     return d if d <= bound else None

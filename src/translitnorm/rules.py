@@ -2,9 +2,11 @@
 
 A noisy query term is scored against vocabulary terms by a proxy weight:
 a rule-derived pruning weight minus a length-normalized edit-distance
-penalty. Threshold comparisons and scores are computed in exact rational
-arithmetic and only converted to float on output, so ties and the strict
-admission threshold are never at the mercy of rounding.
+penalty. Threshold comparisons and scores are exact rationals, so ties and
+the strict admission threshold are never at the mercy of rounding. A score
+depends only on the rule outcomes, the edit distance and the two lengths,
+so each config keeps a table of them per query length, with their floats
+for output, and hits are ranked by comparing small ints.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from .distance import levenshtein_bounded
@@ -223,10 +226,10 @@ def _batch_bounded(probe: str, codes: bytes, length: int, bound: int) -> list[tu
 
     ``codes`` is the bucket's Vocabulary.bucket_codes: ``length`` bytes per term.
 
-    Same recurrence as levenshtein_bounded, evaluated for a whole
-    same-length bucket at once; values above ``bound`` are clamped to
-    bound + 1 (the clamp can never drag a true value below the bound).
-    The insertion cascade along a row is resolved with a running minimum.
+    The Levenshtein DP recurrence, evaluated for a whole same-length
+    bucket at once; values above ``bound`` are clamped to bound + 1 (the
+    clamp can never drag a true value below the bound). The insertion
+    cascade along a row is resolved with a running minimum.
     """
     # Imported here, not with the package: numpy's import is a large share of a
     # CLI process, and commands that scan no ASCII bucket never need it.
@@ -266,12 +269,8 @@ def _bucket_distances(
     if probe.isascii():
         hits = _batch_bounded(probe, vocab.bucket_codes(length), length, bound)
         return [(vocab.lookup(terms[i]), ed) for i, ed in hits]
-    pairs = []
-    for term in terms:
-        ed = levenshtein_bounded(probe, term, bound)
-        if ed is not None:
-            pairs.append((vocab.lookup(term), ed))
-    return pairs
+    eds = ((term, levenshtein_bounded(probe, term, bound)) for term in terms)
+    return [(vocab.lookup(term), ed) for term, ed in eds if ed is not None]
 
 
 def normalize(
@@ -319,20 +318,40 @@ def normalize_many(
     return [_rank(probe, config, h, top_k) for config, h in zip(configs, hits)]
 
 
+@lru_cache(maxsize=256)
+def _score_table(config: ModelConfig, query_len: int) -> dict:
+    """One config's scores for one query length, filled by _rank: (rule outcomes,
+    edit distance, vocabulary term length) -> (exact score, float pruning weight,
+    effective length, float proxy weight), shared by the Candidates built from it."""
+    return {}
+
+
 def _rank(
     probe: str, config: ModelConfig, hits: list[tuple[VocabTerm, int, Fraction]], top_k: int
 ) -> list[Candidate]:
     """The top_k of one config's hits, scored and in ranking order."""
+    table = _score_table(config, len(probe))
+    char_rules = config.char_rules  # the outcome of a rule the config lacks stays False
+    first = probe[0] if CharRule.FIRST_CHAR in char_rules else None
+    second = probe[1] if CharRule.SECOND_CHAR in char_rules else None
+    consonant = last_consonant(probe) if CharRule.LAST_CONSONANT in char_rules else None
     rows = []
     for vt, ed, eff in hits:
-        prun = _pruning_weight_exact(probe, vt.term, config)
-        score = _proxy_exact(prun, ed, eff, config.formula)
-        rows.append((-score, ed, -vt.frequency, vt.term, prun, eff))
-    # terms are unique, so whole rows sort by their first four fields alone
-    return [
-        Candidate(term, ed, float(prun), eff, float(-neg_score))
-        for neg_score, ed, _, term, prun, eff in sorted(rows)[:top_k]
-    ]
+        term = vt.term
+        key = (term[0] == first, term[1] == second,
+               consonant is not None and last_consonant(term) == consonant, ed, len(term))
+        entry = table.get(key)
+        if entry is None:
+            # eff comes with the hit: VOCAB_LONGER gives none for an in-vocabulary probe
+            prun = _pruning_weight_exact(probe, term, config)
+            score = _proxy_exact(prun, ed, eff, config.formula)
+            entry = table[key] = (score, float(prun), eff, float(score))
+        rows.append((entry, ed, -vt.frequency, term))
+    # equal scores from different keys share one rank
+    rank = {score: i for i, score in enumerate(sorted({row[0][0] for row in rows}, reverse=True))}
+    # terms are unique, so rows sort by their first four fields alone
+    ranked = sorted((rank[entry[0]], ed, freq, term, entry) for entry, ed, freq, term in rows)
+    return [Candidate(term, ed, *entry[1:]) for _, ed, _, term, entry in ranked[:top_k]]
 
 
 _CONFIG_KEYS = ("model", "eq", "wt1", "wt2", "wt3", "wt4", "wt5")

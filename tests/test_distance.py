@@ -11,6 +11,19 @@ from helpers import recursive_distance
 words = st.text(alphabet="abcdef", max_size=10)
 
 
+@st.composite
+def long_pairs(draw):
+    """Two strings of 0-70 letters over a two-letter or a non-ASCII alphabet:
+    the bit vectors of some pairs run past 64 bits."""
+    alphabet = draw(st.sampled_from(("ab", "aāñ")))
+
+    def word():
+        n = draw(st.integers(0, 70))
+        return draw(st.text(alphabet, min_size=n, max_size=n))
+
+    return word(), word()
+
+
 class TestLevenshtein:
     @pytest.mark.parametrize(
         ("a", "b", "expected"),
@@ -54,10 +67,10 @@ class TestLevenshtein:
     def test_triangle_inequality(self, a, b, c):
         assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
 
-    @settings(max_examples=300)
-    @given(st.text(alphabet="abc", max_size=5), st.text(alphabet="abc", max_size=5))
-    def test_matches_recursive_oracle(self, a, b):
-        assert levenshtein(a, b) == recursive_distance(a, b)
+    @settings(max_examples=300, deadline=None)
+    @given(long_pairs())
+    def test_matches_recursive_oracle(self, pair):
+        assert levenshtein(*pair) == recursive_distance(*pair)
 
     def test_case_sensitive(self):
         assert levenshtein("ab", "AB") == 2
@@ -91,6 +104,12 @@ class TestLevenshteinBounded:
             assert banded == exact
         else:
             assert banded is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(long_pairs(), st.integers(min_value=0, max_value=12))
+    def test_matches_recursive_oracle(self, pair, bound):
+        exact = recursive_distance(*pair)
+        assert levenshtein_bounded(*pair, bound) == (exact if exact <= bound else None)
 
     @given(words, words)
     def test_tight_bound_recovers_exact(self, a, b):

@@ -33,7 +33,13 @@ from translitnorm import (
     normalize_many,
     save_vocabulary,
 )
-from translitnorm.rules import _admission, _bucket_distances, _proxy_exact, _pruning_weight_exact
+from translitnorm.rules import (
+    _admission,
+    _bucket_distances,
+    _proxy_exact,
+    _pruning_weight_exact,
+    _score_table,
+)
 
 from helpers import candidate_rows, naive_normalize, naive_normalize_many, random_vocabulary
 
@@ -544,6 +550,40 @@ class TestNormalizeMany:
                 word = word[:pos] + rng.choice(("", "a", "bc", "d")) + word[pos + 1 :]
             probes.append(word)
         assert self._check(vocab, probes) > 0
+
+    def test_score_tables_shared_across_calls(self):
+        """Calls with the configs in shuffled orders share one score table per
+        config and query length: equal configs built apart share theirs, and an
+        in-vocabulary probe under m4, scored at its own length, which
+        VOCAB_LONGER leaves undefined, meets entries other probes filled."""
+        rng = random.Random(31)
+        vocab = random_vocabulary(rng, 400)
+        twin = model_config("m3", weights=RuleWeights(0.9, 0.1, 0.05, 0.5, 0.3))
+        assert twin == self.CONFIGS[-1] and twin is not self.CONFIGS[-1]
+        configs = [*self.CONFIGS, twin]
+        in_vocab = [t for t in vocab.terms() if len(t) == 6][:3]
+        assert len(in_vocab) == 3
+        probes = ["".join(rng.choice("abcdefghij") for _ in range(6)) for _ in range(12)]
+        probes[4:4] = in_vocab
+        _score_table.cache_clear()
+        for probe in probes:
+            order = rng.sample(configs, len(configs))
+            got = [candidate_rows(ranked) for ranked in normalize_many(probe, vocab, order)]
+            assert got == naive_normalize_many(probe, vocab, order), probe
+        assert _score_table.cache_info().currsize == len(self.CONFIGS)
+
+    def test_score_table_bounded_by_keys_not_probes(self):
+        rng = random.Random(32)
+        vocab = random_vocabulary(rng, 400)
+        _score_table.cache_clear()
+        probes = {"".join(rng.choice("abcdefghij") for _ in range(6)) for _ in range(500)}
+        for probe in probes:
+            normalize(probe, vocab, M3)
+        # per vocabulary length: 8 rule outcomes times each admitted distance
+        admitted = (_admission(n, 6, M3.length_rule) for n in vocab.bucket_lengths())
+        keys = sum(8 * (a[0] + 1) for a in admitted if a is not None)
+        table = _score_table(M3, 6)
+        assert 0 < len(table) <= keys < len(probes)
 
     def test_no_configs(self):
         vocab = build_vocabulary(["phule"])

@@ -1,4 +1,4 @@
-"""Mutation gate for the vocabulary loader and the ranking core.
+"""Mutation gate for the vocabulary loader, the distance and the ranking core.
 
 Each mutant replaces one exact text in one file of a temporary copy of
 ``src/`` and runs a fixed, fast subset of the tier-1 tests against that
@@ -27,12 +27,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Run in this order with -x: the cheap vocabulary tests first.
-TESTS = ["tests/test_vocabulary.py", "tests/test_rules.py", "tests/test_evaluation.py"]
+# Run in this order with -x: the cheap vocabulary and distance tests first.
+TESTS = [
+    "tests/test_vocabulary.py",
+    "tests/test_distance.py",
+    "tests/test_rules.py",
+    "tests/test_evaluation.py",
+]
 TIMEOUT_S = 600
 
 VOCAB = "src/translitnorm/vocabulary.py"
 RULES = "src/translitnorm/rules.py"
+DIST = "src/translitnorm/distance.py"
 
 # (name, file, exact old text, new text, reason)
 MUTANTS = [
@@ -89,20 +95,38 @@ MUTANTS = [
      "Fraction(len(probe))", "Fraction(len(probe) + 1)",
      "an in-vocabulary term is scored at one more than its own length"),
     ("tie-without-frequency", RULES,
-     "rows.append((-score, ed, -vt.frequency, vt.term, prun, eff))",
-     "rows.append((-score, ed, 0, vt.term, prun, eff))",
+     "rows.append((entry, ed, -vt.frequency, term))", "rows.append((entry, ed, 0, term))",
      "ties on score and distance ignore frequency"),
     ("tie-terms-reversed", RULES,
-     "for neg_score, ed, _, term, prun, eff in sorted(rows)[:top_k]",
-     "for neg_score, ed, _, term, prun, eff in sorted("
-     "rows, key=lambda r: (r[:3], [-ord(c) for c in r[3]]))[:top_k]",
+     "ranked = sorted((rank[entry[0]], ed, freq, term, entry) for entry, ed, freq, term in rows)",
+     "ranked = sorted(((rank[entry[0]], ed, freq, term, entry) for entry, ed, freq, term in rows), "
+     "key=lambda r: (r[:3], [-ord(c) for c in r[3]]))",
      "full ties are broken against the alphabet"),
+    ("score-key-without-ed", RULES,
+     "last_consonant(term) == consonant, ed, len(term))", "last_consonant(term) == consonant, len(term))",
+     "hits at different distances share one score table entry"),
+    ("score-key-without-consonant", RULES,
+     "consonant is not None and last_consonant(term) == consonant, ed", "ed",
+     "the last-consonant outcome does not key the score table"),
+    ("score-table-any-query-length", RULES,
+     "_score_table(config, len(probe))", "_score_table(config, 0)",
+     "queries of every length share one score table"),
     ("early-exit-at-bound", RULES,
      "if prev.min() > bound:", "if prev.min() >= bound:",
      "the scan stops while rows at the bound are still alive"),
     ("hits-past-64-dropped", RULES,
      "hits = np.flatnonzero(eds <= bound)", "hits = np.flatnonzero(eds[:64] <= bound)",
      "rows past the 64th of a bucket are never returned"),
+    # bit-vector distance
+    ("carry-or", DIST,
+     "((eq & pv) + pv)", "((eq & pv) | pv)",
+     "the addition's carry no longer runs along matching characters"),
+    ("top-bit-low", DIST,
+     "full, top = bit - 1, bit >> 1", "full, top = bit - 1, bit >> 2",
+     "the score is read one row above the last"),
+    ("row-zero-no-carry-in", DIST,
+     "ph = (ph << 1) | 1", "ph = ph << 1",
+     "row 0 of the DP is taken as all zeros, as in substring search"),
 ]
 
 _FAILED = re.compile(r"^FAILED (\S+)", re.MULTILINE)
