@@ -74,9 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace) -> rules.ModelConfig:
-    return rules.load_model_config(
-        getattr(args, "config", None), model=args.model, formula=args.eq
-    )
+    return rules.load_model_config(args.config, model=args.model, formula=args.eq)
 
 
 def _cmd_build_vocab(args: argparse.Namespace) -> int:

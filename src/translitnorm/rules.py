@@ -4,9 +4,11 @@ A noisy query term is scored against vocabulary terms by a proxy weight:
 a rule-derived pruning weight minus a length-normalized edit-distance
 penalty. Threshold comparisons and scores are exact rationals, so ties and
 the strict admission threshold are never at the mercy of rounding. A score
-depends only on the rule outcomes, the edit distance and the two lengths,
-so each config keeps a table of them per query length, with their floats
-for output, and hits are ranked by comparing small ints.
+depends only on the rule outcomes, the edit distance and the effective
+length, so each config keeps one table keyed by them, each entry computed
+from its key alone with its floats for output, and hits are ranked by
+comparing small ints. A config holds its model id, formula and weights; its
+length rule and char rules are read from the model table.
 """
 
 from __future__ import annotations
@@ -98,25 +100,29 @@ _MODEL_TABLE: dict[str, tuple[LengthRule, frozenset[CharRule], tuple[Formula, ..
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Ranking rules, formula and weights; only the model table's m1-m4 shapes build."""
+    """A model's formula and weights; its length rule and char rules are the model table's."""
 
     model_id: str
-    length_rule: LengthRule
-    char_rules: frozenset[CharRule]
     formula: Formula
     weights: RuleWeights = field(default_factory=RuleWeights)
 
     def __post_init__(self) -> None:
         if self.model_id not in _MODEL_TABLE:
             raise ValueError(f"unknown model {self.model_id!r}, expected one of {MODEL_IDS}")
-        length_rule, char_rules, formulas = _MODEL_TABLE[self.model_id]
-        if (self.length_rule, self.char_rules) != (length_rule, char_rules):
-            raise ValueError(f"{self.model_id} takes only its own length rule and char rules")
-        # _proxy_exact tests the formula by identity, so a plain int is refused too
+        formulas = _MODEL_TABLE[self.model_id][2]
+        # _score_entry tests the formula by identity, so a plain int is refused too
         if not isinstance(self.formula, Formula) or self.formula not in formulas:
             if self.model_id == "m1":
                 raise ValueError("m1 admits only the unweighted formula (eq=3)")
             raise ValueError(f"{self.model_id} admits only the weighted formulas (eq=1 or eq=2)")
+
+    @property
+    def length_rule(self) -> LengthRule:
+        return _MODEL_TABLE[self.model_id][0]
+
+    @property
+    def char_rules(self) -> frozenset[CharRule]:
+        return _MODEL_TABLE[self.model_id][1]
 
 
 def model_config(
@@ -128,18 +134,15 @@ def model_config(
 
     ``formula`` may override the scoring formula for m2-m4 (codes 1 or 2);
     m1 always uses the unweighted formula. ``weights`` replaces the default
-    rule weights. ModelConfig rejects any other shape.
+    rule weights. ModelConfig rejects any other id or formula.
     """
     key = model_id.lower()
     if key not in _MODEL_TABLE:
         raise ValueError(f"unknown model {model_id!r}, expected one of {MODEL_IDS}")
-    length_rule, char_rules, formulas = _MODEL_TABLE[key]
     return ModelConfig(
-        model_id=key,
-        length_rule=length_rule,
-        char_rules=char_rules,
-        formula=formulas[0] if formula is None else Formula(formula),
-        weights=weights if weights is not None else RuleWeights(),
+        key,
+        _MODEL_TABLE[key][2][0] if formula is None else Formula(formula),
+        weights if weights is not None else RuleWeights(),
     )
 
 
@@ -185,29 +188,6 @@ def _admission(vocab_len: int, query_len: int, rule: LengthRule) -> tuple[int, F
     except ValueError:
         return None
     return (eff.numerator - 1) // (2 * eff.denominator), eff
-
-
-def _pruning_weight_exact(query: str, vocab_term: str, config: ModelConfig) -> Fraction:
-    if not config.char_rules:
-        return Fraction(1)
-    w = config.weights
-    total = Fraction(0)
-    if CharRule.FIRST_CHAR in config.char_rules:
-        total += Fraction(w.wt1 if query[0] == vocab_term[0] else w.wt2)
-    if CharRule.SECOND_CHAR in config.char_rules:
-        total += Fraction(w.wt2 if query[1] == vocab_term[1] else w.wt3)
-    if CharRule.LAST_CONSONANT in config.char_rules:
-        cq = last_consonant(query)
-        cv = last_consonant(vocab_term)
-        total += Fraction(w.wt4 if cq is not None and cq == cv else w.wt5)
-    return total
-
-
-def _proxy_exact(
-    prun: Fraction, ed: int, length: Fraction, formula: Formula
-) -> Fraction:
-    # SMOOTHED counts one edit less; ModelConfig admits UNWEIGHTED only for m1, whose prun is 1
-    return prun - (ed - (formula is Formula.SMOOTHED)) / length
 
 
 @dataclass(frozen=True, slots=True)
@@ -319,18 +299,36 @@ def normalize_many(
 
 
 @lru_cache(maxsize=256)
-def _score_table(config: ModelConfig, query_len: int) -> dict:
-    """One config's scores for one query length, filled by _rank: (rule outcomes,
-    edit distance, vocabulary term length) -> (exact score, float pruning weight,
-    effective length, float proxy weight), shared by the Candidates built from it."""
+def _score_table(config: ModelConfig) -> dict:
+    """One config's scores, filled by _rank: each key of (rule outcomes, edit
+    distance, effective length) maps to _score_entry(config, *key), shared by
+    the Candidates built from it."""
     return {}
+
+
+def _score_entry(
+    config: ModelConfig, first: bool, second: bool, consonant: bool, ed: int, eff: Fraction
+) -> tuple[Fraction, float, Fraction, float]:
+    """(exact score, float pruning weight, effective length, float proxy weight)
+    of a hit with these char-rule outcomes, edit distance and effective length."""
+    w, char_rules = config.weights, config.char_rules
+    prun = Fraction(0) if char_rules else Fraction(1)
+    if CharRule.FIRST_CHAR in char_rules:
+        prun += Fraction(w.wt1 if first else w.wt2)
+    if CharRule.SECOND_CHAR in char_rules:
+        prun += Fraction(w.wt2 if second else w.wt3)
+    if CharRule.LAST_CONSONANT in char_rules:
+        prun += Fraction(w.wt4 if consonant else w.wt5)
+    # SMOOTHED counts one edit less; ModelConfig admits UNWEIGHTED only for m1, whose prun is 1
+    score = prun - (ed - (config.formula is Formula.SMOOTHED)) / eff
+    return score, float(prun), eff, float(score)
 
 
 def _rank(
     probe: str, config: ModelConfig, hits: list[tuple[VocabTerm, int, Fraction]], top_k: int
 ) -> list[Candidate]:
     """The top_k of one config's hits, scored and in ranking order."""
-    table = _score_table(config, len(probe))
+    table = _score_table(config)
     char_rules = config.char_rules  # the outcome of a rule the config lacks stays False
     first = probe[0] if CharRule.FIRST_CHAR in char_rules else None
     second = probe[1] if CharRule.SECOND_CHAR in char_rules else None
@@ -338,14 +336,12 @@ def _rank(
     rows = []
     for vt, ed, eff in hits:
         term = vt.term
+        # eff comes with the hit: VOCAB_LONGER gives none for an in-vocabulary probe
         key = (term[0] == first, term[1] == second,
-               consonant is not None and last_consonant(term) == consonant, ed, len(term))
+               consonant is not None and last_consonant(term) == consonant, ed, eff)
         entry = table.get(key)
         if entry is None:
-            # eff comes with the hit: VOCAB_LONGER gives none for an in-vocabulary probe
-            prun = _pruning_weight_exact(probe, term, config)
-            score = _proxy_exact(prun, ed, eff, config.formula)
-            entry = table[key] = (score, float(prun), eff, float(score))
+            entry = table[key] = _score_entry(config, *key)
         rows.append((entry, ed, -vt.frequency, term))
     # equal scores from different keys share one rank
     rank = {score: i for i, score in enumerate(sorted({row[0][0] for row in rows}, reverse=True))}

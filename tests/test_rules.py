@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from translitnorm import (
+    Candidate,
     CharRule,
     Formula,
     LengthRule,
@@ -36,8 +38,7 @@ from translitnorm import (
 from translitnorm.rules import (
     _admission,
     _bucket_distances,
-    _proxy_exact,
-    _pruning_weight_exact,
+    _score_entry,
     _score_table,
 )
 
@@ -131,29 +132,43 @@ class TestLastConsonant:
         assert last_consonant("phulE") == "l"
 
 
+# (config, first-char, second-char and last-consonant outcomes, exact pruning
+# weight): the float weights summed exactly, so 0.6 is Fraction(0.6), not 3/5
+CUSTOM = model_config("m3", weights=RuleWeights(wt1=1.0, wt2=0.5, wt3=0.0, wt4=0.9, wt5=0.1))
+PRUNING_CASES = [
+    (M3, (True, True, False), Fraction(0.6) + Fraction(0.4) + Fraction(0.25)),  # phule, phulen
+    (M2, (False, True, False), Fraction(0.4) + Fraction(0.4)),  # gaane, kaane
+    (M1, (False, False, False), Fraction(1)),
+    (M3, (True, False, False), Fraction(0.6) + Fraction(0.2) + Fraction(0.25)),  # aaee, aeae
+    (CUSTOM, (True, True, False), Fraction(1.0) + Fraction(0.5) + Fraction(0.1)),  # phule, phulen
+]
+PRUNING_IDS = ["m3-phule-phulen", "m2-gaane-kaane", "m1", "m3-all-vowel", "custom-weights"]
+OUTCOMES = list(itertools.product((False, True), repeat=3))
+
+
 class TestPruningWeight:
-    # the float weights summed exactly: 0.6 is Fraction(0.6), not 3/5
+    """_score_entry's pruning weight; at distance 0 under eq=1 or eq=3 the
+    exact score is the pruning weight itself."""
 
-    def test_m3_example(self):
-        got = _pruning_weight_exact("phule", "phulen", M3)
-        assert got == Fraction(0.6) + Fraction(0.4) + Fraction(0.25)
-
-    def test_m2_example(self):
-        assert _pruning_weight_exact("gaane", "kaane", M2) == Fraction(0.4) + Fraction(0.4)
+    @pytest.mark.parametrize(("config", "outcomes", "prun"), PRUNING_CASES, ids=PRUNING_IDS)
+    def test_examples(self, config, outcomes, prun):
+        score, weight, eff, _ = _score_entry(config, *outcomes, 0, Fraction(6))
+        assert (score, weight, eff) == (prun, float(prun), 6)
 
     def test_m1_is_one(self):
-        assert _pruning_weight_exact("anything", "whatever", M1) == 1
+        for outcomes in OUTCOMES:
+            assert _score_entry(M1, *outcomes, 0, Fraction(9))[0] == 1
+
+    def test_m2_has_no_consonant_rule(self):
+        assert _score_entry(M2, False, True, True, 0, Fraction(5))[0] == Fraction(0.4) + Fraction(0.4)
 
     def test_absent_consonants_count_as_mismatch(self):
-        # both terms all-vowel: no last consonant on either side
-        got = _pruning_weight_exact("aaee", "aeae", M3)
-        assert got == Fraction(0.6) + Fraction(0.2) + Fraction(0.25)
-
-    def test_custom_weights(self):
-        weights = RuleWeights(wt1=1.0, wt2=0.5, wt3=0.0, wt4=0.9, wt5=0.1)
-        config = model_config("m3", weights=weights)
-        got = _pruning_weight_exact("phule", "phulen", config)
-        assert got == Fraction(1.0) + Fraction(0.5) + Fraction(0.1)
+        # both terms all-vowel: no last consonant on either side, so _rank keys a miss
+        _score_table.cache_clear()
+        [cand] = normalize("aaeeiioo", build_vocabulary(["aeeeiioo"]), M3)
+        key = (True, False, False, 1, Fraction(8))
+        assert _score_table(M3) == {key: _score_entry(M3, *key)}
+        assert cand.pruning_weight == float(Fraction(0.6) + Fraction(0.2) + Fraction(0.25))
 
     def test_weights_validated(self):
         with pytest.raises(ValueError):
@@ -164,29 +179,37 @@ class TestPruningWeight:
 
 class TestProxyWeight:
     def test_unweighted(self):
-        assert _proxy_exact(Fraction(1), 1, Fraction(6), Formula.UNWEIGHTED) == Fraction(5, 6)
+        assert _score_entry(M1, False, False, False, 1, Fraction(6))[0] == Fraction(5, 6)
 
     def test_weighted_with_average_length(self):
-        got = _proxy_exact(Fraction(5, 4), 1, Fraction(11, 2), Formula.WEIGHTED)
-        assert got == Fraction(5, 4) - Fraction(2, 11)
+        got = _score_entry(M3, True, True, False, 1, Fraction(11, 2))
+        assert got[0] == Fraction(5, 4) - Fraction(2, 11)
+        assert got[3] == float(got[0])
 
-    def test_zero_distance_subtracts_nothing(self):
-        for w in (Fraction(3, 10), Fraction(4, 5), Fraction(7, 4)):
-            assert _proxy_exact(w, 0, Fraction(9), Formula.WEIGHTED) == w
+    @pytest.mark.parametrize(("config", "outcomes", "prun"), PRUNING_CASES, ids=PRUNING_IDS)
+    def test_zero_distance_subtracts_nothing(self, config, outcomes, prun):
+        for eff in (Fraction(9), Fraction(11, 2)):
+            assert _score_entry(config, *outcomes, 0, eff)[0] == prun
 
-    def test_smoothed_shifts_distance_by_one(self):
-        for w in (Fraction(3, 10), Fraction(4, 5), Fraction(7, 4)):
-            assert _proxy_exact(w, 1, Fraction(7), Formula.SMOOTHED) == w
+    @pytest.mark.parametrize(
+        ("config", "outcomes", "prun"),
+        [case for case in PRUNING_CASES if case[0] is not M1],
+        ids=[name for name in PRUNING_IDS if name != "m1"],
+    )
+    def test_smoothed_shifts_distance_by_one(self, config, outcomes, prun):
+        smoothed = dataclasses.replace(config, formula=Formula.SMOOTHED)
+        assert _score_entry(smoothed, *outcomes, 1, Fraction(7))[0] == prun
 
     @given(
         st.integers(min_value=0, max_value=6),
         st.integers(min_value=1, max_value=6),
         st.integers(min_value=4, max_value=20),
-        st.sampled_from(list(Formula)),
+        st.sampled_from([M1, M2, M3, M4, model_config("m3", formula=2), CUSTOM]),
+        st.sampled_from(OUTCOMES),
     )
-    def test_strictly_decreasing_in_distance(self, ed, step, length, formula):
-        near = _proxy_exact(Fraction(1), ed, Fraction(length), formula)
-        far = _proxy_exact(Fraction(1), ed + step, Fraction(length), formula)
+    def test_strictly_decreasing_in_distance(self, ed, step, length, config, outcomes):
+        near = _score_entry(config, *outcomes, ed, Fraction(length))[0]
+        far = _score_entry(config, *outcomes, ed + step, Fraction(length))[0]
         assert near > far
 
 
@@ -198,14 +221,41 @@ class TestModelConfig:
 
     def test_m2_shape(self):
         assert M2.length_rule is LengthRule.AVERAGE
-        assert len(M2.char_rules) == 2
+        assert M2.char_rules == {CharRule.FIRST_CHAR, CharRule.SECOND_CHAR}
         assert M2.formula is Formula.WEIGHTED
 
     def test_m3_m4_shape(self):
         assert M3.length_rule is LengthRule.AVERAGE
-        assert len(M3.char_rules) == 3
+        assert M3.char_rules == frozenset(CharRule)
         assert M4.length_rule is LengthRule.VOCAB_LONGER
         assert M4.char_rules == M3.char_rules
+
+    def test_fields_are_what_varies(self):
+        assert [f.name for f in dataclasses.fields(ModelConfig)] == ["model_id", "formula", "weights"]
+
+    def test_rules_are_read_only(self):
+        with pytest.raises(AttributeError):
+            M3.length_rule = LengthRule.LONGEST
+        with pytest.raises(AttributeError):
+            M3.char_rules = frozenset()
+
+    def test_replace_formula(self):
+        smoothed = dataclasses.replace(M3, formula=Formula.SMOOTHED)
+        assert smoothed == model_config("m3", formula=2)
+        assert (smoothed.length_rule, smoothed.char_rules) == (M3.length_rule, M3.char_rules)
+        with pytest.raises(ValueError, match="m3 admits only the weighted formulas"):
+            dataclasses.replace(M3, formula=Formula.UNWEIGHTED)
+
+    @pytest.mark.parametrize("extra", [(), (RuleWeights(),)], ids=["4-positional", "5-positional"])
+    def test_old_positional_call_raises(self, extra):
+        # (model_id, length_rule, char_rules, formula[, weights]) would misread
+        # the length rule as the formula; it no longer fits the signature
+        with pytest.raises(TypeError):
+            ModelConfig("m3", LengthRule.AVERAGE, frozenset(CharRule), Formula.WEIGHTED, *extra)
+
+    def test_rules_are_not_arguments(self):
+        with pytest.raises(TypeError):
+            ModelConfig("m3", Formula.WEIGHTED, length_rule=LengthRule.AVERAGE)
 
     def test_default_weights(self):
         assert M3.weights == RuleWeights(0.60, 0.40, 0.20, 0.75, 0.25)
@@ -228,52 +278,47 @@ class TestModelConfig:
     def test_unweighted_with_char_rules_is_refused(self):
         # scored prun - ed/len, not m1's 1 - ed/len: gaanee for gaane read 1.5682, not 0.8182
         with pytest.raises(ValueError, match="m3 admits only the weighted formulas"):
-            ModelConfig("m3", LengthRule.AVERAGE, frozenset(CharRule), Formula.UNWEIGHTED)
+            ModelConfig("m3", Formula.UNWEIGHTED)
 
     _M1_ONLY = r"^m1 admits only the unweighted formula \(eq=3\)$"
     _WEIGHTED_ONLY = r"^{} admits only the weighted formulas \(eq=1 or eq=2\)$"
-    _OWN_RULES = r"^{} takes only its own length rule and char rules$"
 
-    # (model id, length rule, char rules, formula code, message; None where the shape builds)
+    # (model id, formula code, message; None where the config builds)
     @pytest.mark.parametrize(
-        ("model_id", "length_rule", "char_rules", "formula", "message"),
+        ("model_id", "formula", "message"),
         [
-            ("m1", M1.length_rule, M1.char_rules, 1, _M1_ONLY),
-            ("m1", M1.length_rule, M1.char_rules, 2, _M1_ONLY),
-            ("m1", M1.length_rule, M1.char_rules, 3, None),
-            ("m2", M2.length_rule, M2.char_rules, 1, None),
-            ("m2", M2.length_rule, M2.char_rules, 2, None),
-            ("m2", M2.length_rule, M2.char_rules, 3, _WEIGHTED_ONLY.format("m2")),
-            ("m3", M3.length_rule, M3.char_rules, 1, None),
-            ("m3", M3.length_rule, M3.char_rules, 2, None),
-            ("m3", M3.length_rule, M3.char_rules, 3, _WEIGHTED_ONLY.format("m3")),
-            ("m4", M4.length_rule, M4.char_rules, 1, None),
-            ("m4", M4.length_rule, M4.char_rules, 2, None),
-            ("m4", M4.length_rule, M4.char_rules, 3, _WEIGHTED_ONLY.format("m4")),
-            ("m1", LengthRule.LONGEST, frozenset({CharRule.FIRST_CHAR}), 3, _OWN_RULES.format("m1")),
-            ("m4", LengthRule.AVERAGE, M4.char_rules, 1, _OWN_RULES.format("m4")),
-            ("m5", LengthRule.AVERAGE, M3.char_rules, 1, r"^unknown model 'm5', expected one of "),
+            ("m1", 1, _M1_ONLY),
+            ("m1", 2, _M1_ONLY),
+            ("m1", 3, None),
+            ("m2", 1, None),
+            ("m2", 2, None),
+            ("m2", 3, _WEIGHTED_ONLY.format("m2")),
+            ("m3", 1, None),
+            ("m3", 2, None),
+            ("m3", 3, _WEIGHTED_ONLY.format("m3")),
+            ("m4", 1, None),
+            ("m4", 2, None),
+            ("m4", 3, _WEIGHTED_ONLY.format("m4")),
+            ("m5", 1, r"^unknown model 'm5', expected one of "),
         ],
-        ids=[f"{m}-eq{f}" for m in ("m1", "m2", "m3", "m4") for f in (1, 2, 3)]
-        + ["m1-first-char", "m4-average", "unknown-id"],
+        ids=[f"{m}-eq{f}" for m in ("m1", "m2", "m3", "m4") for f in (1, 2, 3)] + ["unknown-id"],
     )
-    def test_only_the_model_table_builds(self, model_id, length_rule, char_rules, formula, message):
+    def test_only_the_model_table_builds(self, model_id, formula, message):
         def build():
-            return ModelConfig(model_id, length_rule, char_rules, Formula(formula))
+            return ModelConfig(model_id, Formula(formula))
 
         if message is None:
             assert build() == model_config(model_id, formula)
             return
         with pytest.raises(ValueError, match=message):
             build()
-        if "takes only" not in message:  # model_config builds no other rules
-            with pytest.raises(ValueError, match=message):
-                model_config(model_id, formula)
+        with pytest.raises(ValueError, match=message):
+            model_config(model_id, formula)
 
     def test_plain_int_formula_is_refused(self):
-        # _proxy_exact would score an int 2 as the weighted formula
+        # _score_entry would score an int 2 as the weighted formula
         with pytest.raises(ValueError, match=self._WEIGHTED_ONLY.format("m3")):
-            ModelConfig("m3", M3.length_rule, M3.char_rules, 2)
+            ModelConfig("m3", 2)
 
 
 class TestConfigFile:
@@ -553,9 +598,9 @@ class TestNormalizeMany:
 
     def test_score_tables_shared_across_calls(self):
         """Calls with the configs in shuffled orders share one score table per
-        config and query length: equal configs built apart share theirs, and an
-        in-vocabulary probe under m4, scored at its own length, which
-        VOCAB_LONGER leaves undefined, meets entries other probes filled."""
+        config: equal configs built apart share theirs, and an in-vocabulary
+        probe under m4, scored at its own length, which VOCAB_LONGER leaves
+        undefined, meets entries other probes filled."""
         rng = random.Random(31)
         vocab = random_vocabulary(rng, 400)
         twin = model_config("m3", weights=RuleWeights(0.9, 0.1, 0.05, 0.5, 0.3))
@@ -576,14 +621,34 @@ class TestNormalizeMany:
         rng = random.Random(32)
         vocab = random_vocabulary(rng, 400)
         _score_table.cache_clear()
-        probes = {"".join(rng.choice("abcdefghij") for _ in range(6)) for _ in range(500)}
+        probes = {
+            "".join(rng.choice("abcdefghij") for _ in range(rng.randint(5, 7))) for _ in range(600)
+        }
         for probe in probes:
             normalize(probe, vocab, M3)
-        # per vocabulary length: 8 rule outcomes times each admitted distance
-        admitted = (_admission(n, 6, M3.length_rule) for n in vocab.bucket_lengths())
-        keys = sum(8 * (a[0] + 1) for a in admitted if a is not None)
-        table = _score_table(M3, 6)
-        assert 0 < len(table) <= keys < len(probes)
+        # 8 rule outcomes times each (distance, effective length) a query length admits
+        pairs = {
+            (ed, admission[1])
+            for query_len in (5, 6, 7)
+            for n in vocab.bucket_lengths()
+            if (admission := _admission(n, query_len, M3.length_rule)) is not None
+            for ed in range(admission[0] + 1)
+        }
+        table = _score_table(M3)
+        assert {key[3:] for key in table} <= pairs
+        assert 0 < len(table) <= 8 * len(pairs) < len(probes)
+
+    def test_equal_effective_lengths_share_an_entry(self):
+        # m1's effective length is the longer length: 6 for a 5- or a 6-letter probe
+        vocab = build_vocabulary(["abcdef"])
+        _score_table.cache_clear()
+        [short] = normalize("abcde", vocab, M1)
+        [same] = normalize("abcdex", vocab, M1)
+        assert (short.edit_distance, short.effective_length) == (1, 6)
+        assert same == Candidate("abcdef", 1, 1.0, short.effective_length, 5 / 6)
+        assert same.effective_length is short.effective_length
+        key = (False, False, False, 1, Fraction(6))
+        assert _score_table(M1) == {key: _score_entry(M1, *key)}
 
     def test_no_configs(self):
         vocab = build_vocabulary(["phule"])

@@ -89,7 +89,7 @@ MUTANTS = [
      "admission[0] >= abs(vocab_len - query_len)", "admission[0] > abs(vocab_len - query_len)",
      "a bucket whose length gap equals the bound is skipped"),
     ("eq2-no-bonus", RULES,
-     "(formula is Formula.SMOOTHED)", "False",
+     "(config.formula is Formula.SMOOTHED)", "False",
      "eq=2 loses its zero-distance bonus"),
     ("exact-hit-length-plus-1", RULES,
      "Fraction(len(probe))", "Fraction(len(probe) + 1)",
@@ -103,14 +103,17 @@ MUTANTS = [
      "key=lambda r: (r[:3], [-ord(c) for c in r[3]]))",
      "full ties are broken against the alphabet"),
     ("score-key-without-ed", RULES,
-     "last_consonant(term) == consonant, ed, len(term))", "last_consonant(term) == consonant, len(term))",
-     "hits at different distances share one score table entry"),
+     "last_consonant(term) == consonant, ed, eff)", "last_consonant(term) == consonant, 0, eff)",
+     "the score key holds no distance, so every hit is scored at distance 0"),
     ("score-key-without-consonant", RULES,
-     "consonant is not None and last_consonant(term) == consonant, ed", "ed",
-     "the last-consonant outcome does not key the score table"),
-    ("score-table-any-query-length", RULES,
-     "_score_table(config, len(probe))", "_score_table(config, 0)",
-     "queries of every length share one score table"),
+     "consonant is not None and last_consonant(term) == consonant, ed", "False, ed",
+     "the score key holds no last-consonant outcome, so every hit is scored a miss"),
+    ("score-key-without-eff", RULES,
+     "== consonant, ed, eff)", "== consonant, ed, Fraction(len(term)))",
+     "the score key holds the vocabulary term length in place of the effective length"),
+    ("second-char-miss-wt2", RULES,
+     "Fraction(w.wt2 if second else w.wt3)", "Fraction(w.wt2 if second else w.wt2)",
+     "a second-char miss is weighted as a match"),
     ("early-exit-at-bound", RULES,
      "if prev.min() > bound:", "if prev.min() >= bound:",
      "the scan stops while rows at the bound are still alive"),
